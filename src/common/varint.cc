@@ -6,12 +6,17 @@
 
 namespace pol {
 
+// The encoders fill a local buffer and append it once: one capacity
+// check per value instead of one per byte.
 void PutVarint64(std::string* out, uint64_t value) {
+  char buf[10];
+  size_t n = 0;
   while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    buf[n++] = static_cast<char>((value & 0x7f) | 0x80);
     value >>= 7;
   }
-  out->push_back(static_cast<char>(value));
+  buf[n++] = static_cast<char>(value);
+  out->append(buf, n);
 }
 
 void PutVarintSigned64(std::string* out, int64_t value) {
@@ -45,9 +50,11 @@ Status GetVarintSigned64(std::string_view* input, int64_t* value) {
 void PutDouble(std::string* out, double value) {
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
+  char buf[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+    buf[i] = static_cast<char>((bits >> (8 * i)) & 0xff);
   }
+  out->append(buf, sizeof(buf));
 }
 
 Status GetDouble(std::string_view* input, double* value) {

@@ -137,46 +137,55 @@ Status Inventory::MergeFrom(Inventory&& other) {
     return Status::FailedPrecondition(
         "cannot merge inventories of different resolutions");
   }
-  for (auto& [key, summary] : other.summaries_) {
-    auto [it, inserted] = summaries_.try_emplace(key);
-    if (inserted) {
-      it->second = std::move(summary);
-    } else {
-      it->second.Merge(std::move(summary));
-    }
+  // The route index depends only on the key set: rebuild it only when
+  // the batch brought a route key this inventory did not have.
+  if (SpliceSummaries(&summaries_, &other.summaries_) > 0) {
+    route_index_.Build(summaries_);
   }
-  other.summaries_.clear();
   other.route_index_.Clear();
-  route_index_.Build(summaries_);
   return Status::OK();
+}
+
+void SerializeSummaryRecords(const SummaryMap& summaries, std::string* out) {
+  // Deterministic order: sort keys. (The map is unordered; canonical
+  // bytes make file-level comparisons and CRCs meaningful.)
+  std::vector<const SummaryMap::value_type*> entries;
+  entries.reserve(summaries.size());
+  for (const auto& entry : summaries) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const SummaryMap::value_type* a,
+               const SummaryMap::value_type* b) {
+              if (a->first.cell != b->first.cell) {
+                return a->first.cell < b->first.cell;
+              }
+              return GroupKeyDimsPacked(a->first) <
+                     GroupKeyDimsPacked(b->first);
+            });
+  std::string summary_bytes;  // Reused: one allocation for the walk.
+  for (const SummaryMap::value_type* entry : entries) {
+    PutVarint64(out, entry->first.cell);
+    PutVarint64(out, GroupKeyDimsPacked(entry->first));
+    summary_bytes.clear();
+    entry->second.Serialize(&summary_bytes);
+    PutLengthPrefixed(out, summary_bytes);
+  }
 }
 
 void Inventory::SerializeTo(std::string* out) const {
   out->append(kMagic, kMagicLen);
-  std::string body;
-  PutVarint64(&body, static_cast<uint64_t>(resolution_));
-  PutVarint64(&body, summaries_.size());
-  // Deterministic order: sort keys. (The map is unordered; canonical
-  // bytes make file-level comparisons and CRCs meaningful.)
-  std::vector<const GroupKey*> keys;
-  keys.reserve(summaries_.size());
-  for (const auto& [key, summary] : summaries_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const GroupKey* a, const GroupKey* b) {
-              if (a->cell != b->cell) return a->cell < b->cell;
-              return GroupKeyDimsPacked(*a) < GroupKeyDimsPacked(*b);
-            });
-  for (const GroupKey* key : keys) {
-    PutVarint64(&body, key->cell);
-    PutVarint64(&body, GroupKeyDimsPacked(*key));
-    std::string summary_bytes;
-    summaries_.at(*key).Serialize(&summary_bytes);
-    PutLengthPrefixed(&body, summary_bytes);
-  }
-  // Footer: body size + CRC of the body.
-  PutVarint64(out, body.size());
-  out->append(body);
-  const uint32_t crc = Crc32(body);
+  // The body is written in place and its size prefix inserted in front
+  // of it afterwards, so the file is never held twice.
+  const size_t body_start = out->size();
+  PutVarint64(out, static_cast<uint64_t>(resolution_));
+  PutVarint64(out, summaries_.size());
+  SerializeSummaryRecords(summaries_, out);
+  const size_t body_size = out->size() - body_start;
+  const uint32_t crc =
+      Crc32(std::string_view(out->data() + body_start, body_size));
+  std::string size_prefix;
+  PutVarint64(&size_prefix, body_size);
+  out->insert(body_start, size_prefix);
+  // Footer: CRC of the body.
   out->push_back(static_cast<char>(crc & 0xff));
   out->push_back(static_cast<char>((crc >> 8) & 0xff));
   out->push_back(static_cast<char>((crc >> 16) & 0xff));

@@ -39,6 +39,11 @@ struct CompressionReport {
   uint64_t serialized_bytes = 0;
 };
 
+// Appends one (cell, packed dims, length-prefixed summary) record per
+// summary in canonical key order — cell, then packed dims — the body
+// of POLINV01 and of builder checkpoints.
+void SerializeSummaryRecords(const SummaryMap& summaries, std::string* out);
+
 class Inventory final : public InventoryQuery {
  public:
   Inventory(int resolution, SummaryMap summaries);
@@ -109,8 +114,9 @@ class Inventory final : public InventoryQuery {
  private:
   int resolution_;
   SummaryMap summaries_;
-  // Rebuilt eagerly on construction and after MergeFrom, so const
-  // queries never mutate state (safe for concurrent readers).
+  // Built eagerly on construction and rebuilt by MergeFrom when it adds
+  // a route key, so const queries never mutate state (safe for
+  // concurrent readers). Seal() copies it.
   RouteIndex route_index_;
 };
 

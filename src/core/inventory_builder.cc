@@ -48,22 +48,16 @@ void InventoryBuilder::Fold(const flow::Dataset<PipelineRecord>& projected) {
 
   // Reduce phase: fold partials into the builder's map in ascending
   // partition order (deterministic; summaries are mergeable by
-  // construction). Deliberately sequential: inventories hold millions
-  // of summaries and the dominant cost is memory, so each local map is
-  // released the moment it has been folded — a bucket-parallel merge
-  // would pin every partial until the end. The map phase above carries
-  // the parallelism.
+  // construction). New keys splice across as map nodes, so only keys
+  // that several partitions share pay a merge. Deliberately sequential:
+  // inventories hold millions of summaries and the dominant cost is
+  // memory, so each local map is released the moment it has been
+  // folded — a bucket-parallel merge would pin every partial until the
+  // end. The map phase above carries the parallelism.
   for (size_t p = 0; p < partitions; ++p) {
     peak_partition = std::max(
         peak_partition, projected.partition(static_cast<int>(p)).size());
-    for (auto& [key, summary] : locals[p]) {
-      auto [it, inserted] = summaries_.try_emplace(key, params);
-      if (inserted) {
-        it->second = std::move(summary);
-      } else {
-        it->second.Merge(std::move(summary));
-      }
-    }
+    SpliceSummaries(&summaries_, &locals[p]);
     SummaryMap().swap(locals[p]);  // Free before touching the next one.
   }
 
@@ -88,21 +82,7 @@ void InventoryBuilder::SerializeState(std::string* out) const {
   PutVarint64(out, summaries_.size());
   // Canonical key order, shared with Inventory::SerializeTo, so two
   // builders with equal state serialize to equal bytes.
-  std::vector<const GroupKey*> keys;
-  keys.reserve(summaries_.size());
-  for (const auto& [key, summary] : summaries_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const GroupKey* a, const GroupKey* b) {
-              if (a->cell != b->cell) return a->cell < b->cell;
-              return GroupKeyDimsPacked(*a) < GroupKeyDimsPacked(*b);
-            });
-  for (const GroupKey* key : keys) {
-    PutVarint64(out, key->cell);
-    PutVarint64(out, GroupKeyDimsPacked(*key));
-    std::string summary_bytes;
-    summaries_.at(*key).Serialize(&summary_bytes);
-    PutLengthPrefixed(out, summary_bytes);
-  }
+  SerializeSummaryRecords(summaries_, out);
 }
 
 Status InventoryBuilder::RestoreState(std::string_view input) {

@@ -126,8 +126,9 @@ std::shared_ptr<const InventorySnapshot> Inventory::Seal() const {
     snapshot->stats_.summaries_per_set[set] = pointers.size();
   }
 
-  // Secondary index 1: (origin, destination, segment) -> cells.
-  snapshot->route_index_.Build(summaries_);
+  // Secondary index 1: (origin, destination, segment) -> cells. The
+  // build side keeps it current with the key set, so sealing copies it.
+  snapshot->route_index_ = route_index_;
   snapshot->stats_.route_index_routes = snapshot->route_index_.routes();
   snapshot->stats_.route_index_cells = snapshot->route_index_.cells();
 

@@ -12,9 +12,9 @@
 // that carry a summary for that route key. Turns CellsForRoute — and
 // therefore the corridor lookup at the head of every A* route forecast —
 // from a full scan of all summaries into one binary search plus a copy
-// of the k result cells. Built once (at Inventory construction / merge,
-// and at snapshot seal time); read-only afterwards, so concurrent
-// lookups need no locking.
+// of the k result cells. Built at Inventory construction and rebuilt
+// when a merge adds a route key; sealed snapshots copy it. Read-only
+// afterwards, so concurrent lookups need no locking.
 
 namespace pol::core {
 

@@ -28,6 +28,11 @@ namespace {
 constexpr size_t kKeyRecordBytes = 16;       // {u64 cell, u64 dims}
 constexpr size_t kRouteSpanBytes = 24;       // {u64 route, u64 begin, u64 end}
 constexpr size_t kSegmentRecordBytes = 16;   // {u64 cell, u64 mask}
+// Reserved summary-blob bytes per summary. Typical inventory summaries
+// serialize to ~370 B; reserving generously spares the blob its
+// doubling copies, and reserved pages that are never written are
+// never resident.
+constexpr size_t kSummaryBytesHint = 512;
 
 Status Payload(std::string why) {
   return Status::DataLoss("POLSNAP1 payload: " + std::move(why));
@@ -58,7 +63,7 @@ void InventorySnapshot::EncodeTo(std::string* out) const {
   PutVarint64(&meta, stats_.segment_index_cells);
   PutDouble(&meta, stats_.seal_seconds);
   PutVarint64(&meta, stats_.seal_sequence);
-  builder.AddSection(kSnapSectionMeta, meta);
+  builder.AddSection(kSnapSectionMeta, std::move(meta));
 
   for (size_t set = 0; set < kNumGroupingSets; ++set) {
     const GroupArray& group = groups_[set];
@@ -71,15 +76,17 @@ void InventorySnapshot::EncodeTo(std::string* out) const {
     std::string offsets;
     offsets.reserve((group.values.size() + 1) * sizeof(uint64_t));
     std::string blob;
+    blob.reserve(group.values.size() * kSummaryBytesHint);
     for (const CellSummary& value : group.values) {
       store::AppendU64(&offsets, blob.size());
       value.Serialize(&blob);
     }
     store::AppendU64(&offsets, blob.size());
     const uint32_t ordinal = static_cast<uint32_t>(set);
-    builder.AddSection(kSnapSectionKeysBase + ordinal, keys);
-    builder.AddSection(kSnapSectionSummaryOffsetsBase + ordinal, offsets);
-    builder.AddSection(kSnapSectionSummaryBlobBase + ordinal, blob);
+    builder.AddSection(kSnapSectionKeysBase + ordinal, std::move(keys));
+    builder.AddSection(kSnapSectionSummaryOffsetsBase + ordinal,
+                       std::move(offsets));
+    builder.AddSection(kSnapSectionSummaryBlobBase + ordinal, std::move(blob));
   }
 
   std::string spans;
@@ -89,13 +96,13 @@ void InventorySnapshot::EncodeTo(std::string* out) const {
     store::AppendU64(&spans, begin);
     store::AppendU64(&spans, end);
   });
-  builder.AddSection(kSnapSectionRouteSpans, spans);
+  builder.AddSection(kSnapSectionRouteSpans, std::move(spans));
   std::string route_cells;
   route_cells.reserve(route_index_.cells() * sizeof(uint64_t));
   for (const hex::CellIndex cell : route_index_.cell_array()) {
     store::AppendU64(&route_cells, cell);
   }
-  builder.AddSection(kSnapSectionRouteCells, route_cells);
+  builder.AddSection(kSnapSectionRouteCells, std::move(route_cells));
 
   std::string segments;
   segments.reserve(segment_index_.size() * kSegmentRecordBytes);
@@ -103,7 +110,7 @@ void InventorySnapshot::EncodeTo(std::string* out) const {
     store::AppendU64(&segments, entry.cell);
     store::AppendU64(&segments, entry.mask);
   }
-  builder.AddSection(kSnapSectionSegmentIndex, segments);
+  builder.AddSection(kSnapSectionSegmentIndex, std::move(segments));
 
   *out = builder.Finish();
 }

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "common/small_vector.h"
 #include "common/status.h"
 
 // Fixed-width binned counters — the "Bins" statistic of Table 3. The
@@ -54,12 +54,15 @@ class Histogram {
   Status Deserialize(std::string_view* input);
 
  private:
+  // Bins held inline: the paper's 30-degree course/heading histograms.
+  static constexpr uint32_t kInlineBins = 12;
+
   double lo_;
   double hi_;
   double width_;
   bool wrap_;
   uint64_t total_ = 0;
-  std::vector<uint64_t> counts_;
+  SmallVector<uint64_t, kInlineBins> counts_;
 };
 
 }  // namespace pol::stats

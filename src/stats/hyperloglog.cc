@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -138,7 +139,8 @@ Status HyperLogLog::Deserialize(std::string_view* input) {
   } else {
     const size_t m = size_t{1} << precision;
     if (input->size() < m) return Status::Corruption("truncated registers");
-    dense_.assign(input->begin(), input->begin() + static_cast<long>(m));
+    dense_.resize(m);
+    std::memcpy(dense_.data(), input->data(), m);
     input->remove_prefix(m);
     for (const uint8_t reg : dense_) {
       if (reg > 64) return Status::Corruption("bad register value");

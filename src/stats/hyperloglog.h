@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "common/small_vector.h"
 #include "common/status.h"
 
 // Distinct counting — the "Dist" statistic of Table 3 (distinct ships
@@ -44,14 +44,18 @@ class HyperLogLog {
  private:
   // Number of exact hashes kept before switching to dense registers.
   static constexpr size_t kSparseLimit = 256;
+  // Sparse hashes held inline: 97% of inventory sketches hold at most
+  // two (DESIGN.md "Summary memory layout").
+  static constexpr uint32_t kInlineHashes = 2;
 
   void InsertHash(uint64_t hash);
   void Densify();
   void DenseAdd(uint64_t hash);
 
   int precision_;
-  std::vector<uint64_t> sparse_;  // Sorted unique hashes (sparse mode).
-  std::vector<uint8_t> dense_;    // 2^precision registers (dense mode).
+  // Sorted unique hashes (sparse mode).
+  SmallVector<uint64_t, kInlineHashes> sparse_;
+  SmallVector<uint8_t, 0> dense_;  // 2^precision registers (dense mode).
 };
 
 }  // namespace pol::stats

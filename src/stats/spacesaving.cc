@@ -11,6 +11,10 @@
 namespace pol::stats {
 namespace {
 
+// Serialize sorts a copy of the counters on the stack; sketches up to
+// the default capacity need no heap for it.
+constexpr uint32_t kSerializeInline = 32;
+
 bool OrderByCountDesc(const SpaceSaving::Entry& a,
                       const SpaceSaving::Entry& b) {
   if (a.count != b.count) return a.count > b.count;
@@ -20,9 +24,7 @@ bool OrderByCountDesc(const SpaceSaving::Entry& a,
 }  // namespace
 
 SpaceSaving::SpaceSaving(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)) {
-  // No eager reservation (see TDigest): most cells track few keys.
-}
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
 void SpaceSaving::Add(uint64_t key, uint64_t increment) {
   if (increment == 0) return;
@@ -57,11 +59,13 @@ size_t SpaceSaving::MinIndex() const {
 
 void SpaceSaving::Merge(const SpaceSaving& other) {
   total_ += other.total_;
-  // Union with count/error sums for common keys.
-  std::vector<Entry> combined = entries_;
-  for (const Entry& oe : other.entries_) {
+  // Union with count/error sums for common keys, in place. By index:
+  // `other` may be this sketch, whose storage grows meanwhile.
+  const size_t n = other.entries_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Entry oe = other.entries_[i];
     bool found = false;
-    for (Entry& e : combined) {
+    for (Entry& e : entries_) {
       if (e.key == oe.key) {
         e.count += oe.count;
         e.error += oe.error;
@@ -69,17 +73,16 @@ void SpaceSaving::Merge(const SpaceSaving& other) {
         break;
       }
     }
-    if (!found) combined.push_back(oe);
+    if (!found) entries_.push_back(oe);
   }
-  if (combined.size() > capacity_) {
-    std::sort(combined.begin(), combined.end(), OrderByCountDesc);
-    combined.resize(capacity_);
+  if (entries_.size() > capacity_) {
+    std::sort(entries_.begin(), entries_.end(), OrderByCountDesc);
+    entries_.resize(capacity_);
   }
-  entries_ = std::move(combined);
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::TopN(size_t n) const {
-  std::vector<Entry> sorted = entries_;
+  std::vector<Entry> sorted(entries_.begin(), entries_.end());
   std::sort(sorted.begin(), sorted.end(), OrderByCountDesc);
   if (sorted.size() > n) sorted.resize(n);
   return sorted;
@@ -96,8 +99,12 @@ void SpaceSaving::Serialize(std::string* out) const {
   PutVarint64(out, capacity_);
   PutVarint64(out, total_);
   PutVarint64(out, entries_.size());
-  // Deterministic order so serialization is canonical.
-  for (const Entry& e : TopN(entries_.size())) {
+  // Deterministic order so serialization is canonical, sorted in a
+  // copy on the stack.
+  SmallVector<Entry, kSerializeInline> sorted;
+  for (const Entry& e : entries_) sorted.push_back(e);
+  std::sort(sorted.begin(), sorted.end(), OrderByCountDesc);
+  for (const Entry& e : sorted) {
     PutVarint64(out, e.key);
     PutVarint64(out, e.count);
     PutVarint64(out, e.error);

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "common/status.h"
 
 // Top-N heavy hitters (SpaceSaving, Metwally et al.) — the "Top-N"
@@ -52,12 +53,17 @@ class SpaceSaving {
   Status Deserialize(std::string_view* input);
 
  private:
+  // Counters held inline: 90% of inventory sketches track one key
+  // (DESIGN.md "Summary memory layout").
+  static constexpr uint32_t kInlineEntries = 1;
+
   // Index of the minimum-count entry.
   size_t MinIndex() const;
 
   size_t capacity_;
   uint64_t total_ = 0;  // Total increments observed.
-  std::vector<Entry> entries_;  // Unordered; linear scans (capacity is small).
+  // Unordered; linear scans (capacity is small).
+  SmallVector<Entry, kInlineEntries> entries_;
 };
 
 }  // namespace pol::stats

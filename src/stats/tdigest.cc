@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/varint.h"
@@ -24,10 +23,7 @@ double ScaleK(double q, double compression) {
 }  // namespace
 
 TDigest::TDigest(double compression)
-    : compression_(std::max(20.0, compression)) {
-  // No eager reservation: inventories hold millions of mostly-tiny
-  // digests, so the buffer grows on demand.
-}
+    : compression_(std::max(20.0, compression)) {}
 
 void TDigest::Add(double value, uint64_t weight) {
   if (weight == 0 || std::isnan(value)) return;
@@ -38,9 +34,9 @@ void TDigest::Add(double value, uint64_t weight) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  buffer_.push_back({value, weight});
+  points_.push_back({value, weight});
   buffered_weight_ += weight;
-  if (buffer_.size() >= static_cast<size_t>(compression_) * 4) Flush();
+  if (BufferedCount() >= static_cast<size_t>(compression_) * 4) Flush();
 }
 
 void TDigest::Merge(const TDigest& other) {
@@ -52,12 +48,12 @@ void TDigest::Merge(const TDigest& other) {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
-  for (const Centroid& c : other.centroids_) {
-    buffer_.push_back(c);
-    buffered_weight_ += c.weight;
-  }
-  for (const Centroid& c : other.buffer_) {
-    buffer_.push_back(c);
+  // Other's centroids then its buffered points, all buffered here. By
+  // index: `other` may be this digest, whose storage grows meanwhile.
+  const size_t n = other.points_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Centroid c = other.points_[i];
+    points_.push_back(c);
     buffered_weight_ += c.weight;
   }
   Flush();
@@ -67,47 +63,44 @@ double TDigest::min() const { return count() == 0 ? 0.0 : min_; }
 double TDigest::max() const { return count() == 0 ? 0.0 : max_; }
 
 void TDigest::Flush() const {
-  if (buffer_.empty()) return;
-  std::vector<Centroid> all;
-  all.reserve(centroids_.size() + buffer_.size());
-  all.insert(all.end(), centroids_.begin(), centroids_.end());
-  all.insert(all.end(), buffer_.begin(), buffer_.end());
-  std::sort(all.begin(), all.end(), [](const Centroid& a, const Centroid& b) {
-    return a.mean < b.mean;
-  });
-  buffer_.clear();
+  if (points_.size() == num_centroids_) return;
+  std::sort(points_.begin(), points_.end(),
+            [](const Centroid& a, const Centroid& b) { return a.mean < b.mean; });
   total_weight_ += buffered_weight_;
   buffered_weight_ = 0;
 
+  // Compress in place: the write position trails the read position, so
+  // every point is read before its slot is reused.
   const double total = static_cast<double>(total_weight_);
-  centroids_.clear();
-  Centroid current = all[0];
+  size_t out = 0;
+  Centroid current = points_[0];
   double weight_so_far = 0.0;
   double k_lower = ScaleK(0.0, compression_);
-  for (size_t i = 1; i < all.size(); ++i) {
-    const double proposed =
-        static_cast<double>(current.weight + all[i].weight);
+  for (size_t i = 1; i < points_.size(); ++i) {
+    const Centroid next = points_[i];
+    const double proposed = static_cast<double>(current.weight + next.weight);
     const double q_upper = (weight_so_far + proposed) / total;
     if (ScaleK(q_upper, compression_) - k_lower <= 1.0) {
       // Merge into the current centroid (weighted mean).
       const double w_cur = static_cast<double>(current.weight);
-      const double w_new = static_cast<double>(all[i].weight);
-      current.mean =
-          (current.mean * w_cur + all[i].mean * w_new) / (w_cur + w_new);
-      current.weight += all[i].weight;
+      const double w_new = static_cast<double>(next.weight);
+      current.mean = (current.mean * w_cur + next.mean * w_new) / (w_cur + w_new);
+      current.weight += next.weight;
     } else {
-      centroids_.push_back(current);
+      points_[out++] = current;
       weight_so_far += static_cast<double>(current.weight);
       k_lower = ScaleK(weight_so_far / total, compression_);
-      current = all[i];
+      current = next;
     }
   }
-  centroids_.push_back(current);
+  points_[out++] = current;
+  points_.resize(out);
+  num_centroids_ = static_cast<uint32_t>(out);
 }
 
 size_t TDigest::CentroidCount() const {
   Flush();
-  return centroids_.size();
+  return num_centroids_;
 }
 
 double TDigest::Quantile(double q) const {
@@ -122,17 +115,17 @@ double TDigest::Quantile(double q) const {
   double cumulative = 0.0;
   double prev_midpoint = 0.0;
   double prev_mean = min_;
-  for (size_t i = 0; i < centroids_.size(); ++i) {
-    const double w = static_cast<double>(centroids_[i].weight);
+  for (size_t i = 0; i < points_.size(); ++i) {
+    const double w = static_cast<double>(points_[i].weight);
     const double midpoint = cumulative + w / 2.0;
     if (target < midpoint) {
       const double span = midpoint - prev_midpoint;
-      if (span <= 0.0) return centroids_[i].mean;
+      if (span <= 0.0) return points_[i].mean;
       const double t = (target - prev_midpoint) / span;
-      return prev_mean + t * (centroids_[i].mean - prev_mean);
+      return prev_mean + t * (points_[i].mean - prev_mean);
     }
     prev_midpoint = midpoint;
-    prev_mean = centroids_[i].mean;
+    prev_mean = points_[i].mean;
     cumulative += w;
   }
   // Beyond the last midpoint: interpolate toward the maximum.
@@ -151,16 +144,16 @@ double TDigest::Rank(double value) const {
   double cumulative = 0.0;
   double prev_midpoint = 0.0;
   double prev_mean = min_;
-  for (size_t i = 0; i < centroids_.size(); ++i) {
-    const double w = static_cast<double>(centroids_[i].weight);
+  for (size_t i = 0; i < points_.size(); ++i) {
+    const double w = static_cast<double>(points_[i].weight);
     const double midpoint = cumulative + w / 2.0;
-    if (value < centroids_[i].mean) {
-      const double span = centroids_[i].mean - prev_mean;
+    if (value < points_[i].mean) {
+      const double span = points_[i].mean - prev_mean;
       const double t = span <= 0.0 ? 0.0 : (value - prev_mean) / span;
       return (prev_midpoint + t * (midpoint - prev_midpoint)) / total;
     }
     prev_midpoint = midpoint;
-    prev_mean = centroids_[i].mean;
+    prev_mean = points_[i].mean;
     cumulative += w;
   }
   const double span = max_ - prev_mean;
@@ -171,11 +164,11 @@ double TDigest::Rank(double value) const {
 void TDigest::Serialize(std::string* out) const {
   Flush();
   PutDouble(out, compression_);
-  PutVarint64(out, static_cast<uint64_t>(centroids_.size()));
-  if (centroids_.empty()) return;
+  PutVarint64(out, num_centroids_);
+  if (num_centroids_ == 0) return;
   PutDouble(out, min_);
   PutDouble(out, max_);
-  for (const Centroid& c : centroids_) {
+  for (const Centroid& c : points_) {
     PutDouble(out, c.mean);
     PutVarint64(out, c.weight);
   }
@@ -194,13 +187,14 @@ Status TDigest::Deserialize(std::string_view* input) {
   if (n == 0) return Status::OK();
   POL_RETURN_IF_ERROR(GetDouble(input, &min_));
   POL_RETURN_IF_ERROR(GetDouble(input, &max_));
-  centroids_.reserve(n);
+  points_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Centroid c{};
     POL_RETURN_IF_ERROR(GetDouble(input, &c.mean));
     POL_RETURN_IF_ERROR(GetVarint64(input, &c.weight));
     if (c.weight == 0) return Status::Corruption("zero-weight centroid");
-    centroids_.push_back(c);
+    points_.push_back(c);
+    ++num_centroids_;
     total_weight_ += c.weight;
   }
   return Status::OK();

@@ -56,14 +56,14 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(buf, sizeof(v));
 }
 
-void SnapshotFileBuilder::AddSection(uint32_t id, std::string_view payload) {
+void SnapshotFileBuilder::AddSection(uint32_t id, std::string payload) {
   for (const Pending& existing : sections_) {
     POL_CHECK(existing.id != id) << "duplicate POLSNAP1 section id " << id;
   }
-  sections_.push_back(Pending{id, std::string(payload)});
+  sections_.push_back(Pending{id, std::move(payload)});
 }
 
-std::string SnapshotFileBuilder::Finish() const {
+std::string SnapshotFileBuilder::Finish() {
   const size_t table_bytes = sections_.size() * kSnapshotTableEntryBytes;
   // Header + table + header CRC, padded to the first section boundary.
   const size_t preamble = kSnapshotHeaderBytes + table_bytes + sizeof(uint32_t);
@@ -96,7 +96,9 @@ std::string SnapshotFileBuilder::Finish() const {
     POL_DCHECK(out.size() == offsets[i]);
     out.append(sections_[i].payload);
     out.resize(AlignUp(out.size()), '\0');
+    std::string().swap(sections_[i].payload);
   }
+  sections_.clear();
   POL_DCHECK(out.size() == file_size);
   return out;
 }

@@ -49,11 +49,14 @@ inline constexpr size_t kSnapshotSectionAlignment = 64;
 // order added; ids must be unique (POL_CHECKed).
 class SnapshotFileBuilder {
  public:
-  // Copies `payload` into the builder under `id`.
-  void AddSection(uint32_t id, std::string_view payload);
+  // Takes `payload` under `id`; move a large payload in rather than
+  // copying it.
+  void AddSection(uint32_t id, std::string payload);
 
-  // Frames everything and returns the complete file image.
-  std::string Finish() const;
+  // Frames everything and returns the complete file image. Each payload
+  // is freed as soon as it is copied into the image, so the image and
+  // its sections are never all held twice; the builder is left empty.
+  std::string Finish();
 
  private:
   struct Pending {

@@ -32,7 +32,10 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # The tests that exercise the thread pool, the stage runner, and the
 # chunked folding path — the ones worth the sanitizer rebuild. The
 # stress tests exist specifically to give TSan interleavings to bite on.
-SAN_TESTS="threadpool_test|dataset_test|concurrency_stress_test|pipeline_test|pipeline_property_test|pipeline_chunked_test|cleaning_test|extractor_test|inventory_test|serving_inventory_test|serving_resilience_test|window_test"
+# The SmallVector, sketch-boundary, merge-property and golden-bytes
+# tests cover the summaries' inline/heap storage, where ASan and UBSan
+# catch overruns and lifetime errors.
+SAN_TESTS="threadpool_test|dataset_test|concurrency_stress_test|pipeline_test|pipeline_property_test|pipeline_chunked_test|cleaning_test|extractor_test|inventory_test|serving_inventory_test|serving_resilience_test|window_test|small_vector_test|sketch_boundary_test|merge_property_test|golden_bytes_test"
 
 # The failure-containment suite: these run in every build, but only the
 # faults preset (POL_FAILPOINTS=ON) un-skips the armed kill-and-resume
