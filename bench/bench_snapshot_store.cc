@@ -2,9 +2,9 @@
 // One sealed inventory is persisted two ways, then restored both ways:
 //
 //   load+seal - Inventory::LoadFromFile (parse + rebuild the hash map)
-//               followed by Seal() (sort keys, build the route and
-//               segment indexes) — the only cold-start path before the
-//               store subsystem existed
+//               followed by Seal() (sort keys, encode and validate
+//               the POLSNAP1 image) — the only cold-start path before
+//               the store subsystem existed
 //   mmap      - core::OpenLatestSnapshot over a SnapshotStore: map the
 //               newest POLSNAP1 generation, CRC-validate, serve in
 //               place; summaries decode lazily on first access

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -18,6 +16,7 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "store/atomic_file.h"
 
 namespace pol::core {
 namespace {
@@ -70,10 +69,9 @@ std::vector<uint64_t> ListSequences(const std::string& directory) {
 
 Result<std::string> ReadFileBytes(const std::string& path) {
   POL_RETURN_IF_ERROR(POL_FAILPOINT("checkpoint.read"));
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open for reading: " + path);
-  return std::string((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
+  std::string bytes;
+  POL_RETURN_IF_ERROR(store::ReadFileToString(path, &bytes));
+  return bytes;
 }
 
 }  // namespace
@@ -191,22 +189,8 @@ Status CheckpointManager::Write(const CheckpointState& state) {
     std::string bytes;
     Encode(state, &bytes);
     const uint64_t sequence = next_sequence_++;
-    const std::string path = SnapshotPath(config_.directory, sequence);
-    const std::string tmp_path = path + ".tmp";
-    {
-      std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
-      if (!file) {
-        return Status::IoError("cannot open for writing: " + tmp_path);
-      }
-      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      file.flush();
-      if (!file) return Status::IoError("short write: " + tmp_path);
-    }
-    std::filesystem::rename(tmp_path, path, ec);
-    if (ec) {
-      std::filesystem::remove(tmp_path, ec);
-      return Status::IoError("cannot publish checkpoint: " + path);
-    }
+    POL_RETURN_IF_ERROR(store::WriteFileDurable(
+        SnapshotPath(config_.directory, sequence), bytes));
     bytes_written = bytes.size();
 
     // Rotate: drop everything but the newest `keep` snapshots.

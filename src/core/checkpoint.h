@@ -31,11 +31,13 @@
 //                      length-prefixed message
 //         length-prefixed builder state (InventoryBuilder::SerializeState)
 //
-// Writes are atomic (tmp file + rename) and rotated (newest `keep`
-// snapshots survive), so a crash mid-write never destroys the previous
+// Writes go through store::WriteFileDurable (tmp file + fsync + rename
+// + directory fsync) and are rotated (newest `keep` snapshots survive),
+// so neither a crash nor a power loss mid-write destroys the previous
 // good snapshot. Loading walks snapshots newest-first and falls back
 // across corrupt or unreadable ones. Checkpoint I/O carries the
-// "checkpoint.write" and "checkpoint.read" fail points.
+// "checkpoint.write" and "checkpoint.read" fail points, and writes the
+// store's "store.write" / "store.rename" ones too.
 
 namespace pol::core {
 

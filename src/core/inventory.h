@@ -20,9 +20,10 @@
 // chunk results into and MergeFrom folds daily batches into. It
 // implements the read-side InventoryQuery interface directly (point
 // lookups are hash probes; CellsForRoute goes through an eagerly
-// maintained RouteIndex), and Seal() freezes the current contents into
-// an immutable, fully indexed InventorySnapshot for the serving side
-// (see inventory_snapshot.h and serving_inventory.h).
+// maintained RouteIndex), and Seal() encodes the current contents into
+// the POLSNAP1 image an immutable InventorySnapshot serves from — the
+// same class and layout a stored generation opens as (see
+// inventory_snapshot.h, snapshot_codec.h and serving_inventory.h).
 
 namespace pol::core {
 
@@ -98,10 +99,12 @@ class Inventory final : public InventoryQuery {
   // reads from a sealed snapshot (ServingInventory) while merging.
   Status MergeFrom(Inventory&& other);
 
-  // Freezes the current contents into an immutable snapshot: flat
-  // sorted key/summary arrays per grouping set plus the secondary
-  // indexes, built once. The build side keeps working; the snapshot
-  // shares nothing with it. Records serving.seal_seconds.
+  // Encodes the current contents straight into a POLSNAP1 heap image
+  // (sorted key sections, summary blobs, both secondary indexes; see
+  // snapshot_codec.h) and serves it through InventorySnapshot::FromImage,
+  // like a stored generation. No summary is copied; the build side keeps
+  // working and the snapshot shares nothing with it. Records
+  // serving.seal_seconds.
   std::shared_ptr<const InventorySnapshot> Seal() const;
 
   // Checksummed binary serialization.
@@ -116,7 +119,7 @@ class Inventory final : public InventoryQuery {
   SummaryMap summaries_;
   // Built eagerly on construction and rebuilt by MergeFrom when it adds
   // a route key, so const queries never mutate state (safe for
-  // concurrent readers). Seal() copies it.
+  // concurrent readers). Seal() writes its spans into the image.
   RouteIndex route_index_;
 };
 

@@ -13,8 +13,9 @@
 // section 4 query surface). Every consumer — the usecases, polinv, the
 // examples and the benches — binds to this interface, never to a
 // concrete store: the same estimator runs against the mutable
-// build-side `Inventory`, an immutable `InventorySnapshot` sealed from
-// it, or a hot-swappable `ServingInventory`. pollint's
+// build-side `Inventory`, an immutable `InventorySnapshot` (sealed from
+// it or mapped from a stored generation — one class either way), or a
+// hot-swappable `ServingInventory`. pollint's
 // `inventory-query` rule enforces the boundary by flagging direct
 // `summaries()` map iteration outside src/core/.
 

@@ -2,31 +2,36 @@
 #define POL_CORE_INVENTORY_SNAPSHOT_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/inventory.h"
 #include "core/inventory_query.h"
-#include "core/route_index.h"
+#include "store/mapped_file.h"
+#include "store/snapshot_store.h"
 
 // The serving side of the inventory: an immutable, fully indexed
-// snapshot sealed from a build-side Inventory (Inventory::Seal()).
+// snapshot over one POLSNAP1 image (see DESIGN.md §3.5 and the section
+// schema in core/snapshot_codec.h). The image is either a stored
+// generation mmap'd from disk or the heap image Inventory::Seal() just
+// encoded; both open through FromImage, and no query can tell them
+// apart.
 //
-// Layout (see DESIGN.md §3.5): one flat, (cell, dims)-sorted key array
-// plus a parallel summary array per grouping set — point lookups are a
-// binary search, visitation is a linear walk in deterministic order —
-// and two secondary indexes built once at seal time: the RouteIndex
-// ((origin, destination, segment) -> cell list, backing CellsForRoute
-// in O(log n + k)) and a cell -> present-segments bitmask table.
-// Nothing mutates after sealing, so any number of threads may query
-// concurrently without synchronization; ServingInventory hot-swaps
-// whole snapshots to refresh.
-
-namespace pol::store {
-class SnapshotStore;
-}  // namespace pol::store
+// Layout: per grouping set one (cell, dims)-sorted fixed-width key
+// array plus summary offsets into a blob — point lookups are a binary
+// search in place, visitation is a linear walk in deterministic order —
+// and two secondary indexes encoded at seal time: route spans over a
+// route-cell array ((origin, destination, segment) -> cells, backing
+// CellsForRoute in O(log n + k)) and a cell -> present-segments bitmask
+// table. Summaries are decoded lazily, once per entry, into a CAS
+// cache; everything else is read straight from the image. Nothing
+// mutates after opening except that cache, so any number of threads may
+// query concurrently without locks; ServingInventory hot-swaps whole
+// snapshots to refresh.
 
 namespace pol::core {
 
@@ -37,7 +42,7 @@ struct InventorySnapshotStats {
   uint64_t route_index_routes = 0;   // Distinct (o, d, segment) keys.
   uint64_t route_index_cells = 0;    // Total indexed route cells.
   uint64_t segment_index_cells = 0;  // Cells with a per-type summary.
-  double seal_seconds = 0.0;
+  double seal_seconds = 0.0;         // Sort plus section encode.
   // Process-wide seal ordinal, from 1: the snapshot id the serving
   // telemetry stamps into query-log rows and the
   // serving.snapshot.active_id gauge, so a logged query pins down
@@ -45,10 +50,26 @@ struct InventorySnapshotStats {
   uint64_t seal_sequence = 0;
 };
 
-// Not `final`: core/snapshot_codec.h derives MappedSnapshot, the
-// mmap-backed implementation that serves a POLSNAP1 file zero-copy.
-class InventorySnapshot : public InventoryQuery {
+class InventorySnapshot final : public InventoryQuery {
+  struct OpenTag {};
+
  public:
+  // Serves a container-validated POLSNAP1 image (`opened.view` must
+  // point into `opened.file`). Checks the payload: meta, section sizes
+  // against the meta counts, offset monotonicity, key / route /
+  // segment order — the preconditions the unchecked query paths rely
+  // on. kDataLoss on any violation. stats() are the seal-time stats
+  // stored in the image.
+  static Result<std::shared_ptr<const InventorySnapshot>> FromImage(
+      store::SnapshotStore::Opened opened);
+
+  // Constructible only through FromImage (the tag is private); public
+  // so std::make_shared can reach it.
+  explicit InventorySnapshot(OpenTag) {}
+  ~InventorySnapshot() override;
+  InventorySnapshot(const InventorySnapshot&) = delete;
+  InventorySnapshot& operator=(const InventorySnapshot&) = delete;
+
   int resolution() const override { return resolution_; }
   size_t size() const override { return total_; }
 
@@ -75,50 +96,45 @@ class InventorySnapshot : public InventoryQuery {
 
   const InventorySnapshotStats& stats() const { return stats_; }
 
-  // Encodes this snapshot as a complete POLSNAP1 file image (the
-  // columnar sections of core/snapshot_codec.h inside the store/
-  // container framing). Deterministic for a given snapshot. Virtual:
-  // a mapped snapshot re-encodes as the exact bytes it was opened
-  // from, so republishing one is a byte-identical copy, not a re-seal.
-  virtual void EncodeTo(std::string* out) const;
+  // Copies out the complete POLSNAP1 image this snapshot serves.
+  void EncodeTo(std::string* out) const;
 
-  // Encodes and durably publishes this snapshot as the store's next
-  // generation; the new generation number lands in `*generation` when
-  // non-null. Defined in snapshot_codec.cc.
+  // Durably publishes the image as the store's next generation; the
+  // new generation number lands in `*generation` when non-null.
   Status WriteTo(store::SnapshotStore* store,
                  uint64_t* generation = nullptr) const;
 
  private:
-  friend class Inventory;       // Inventory::Seal() is the only builder.
-  friend class MappedSnapshot;  // Restores the base fields from a file.
-  struct SealTag {};
-
- public:
-  // Constructible only through Inventory::Seal() (the tag is private);
-  // public so std::make_shared can reach it.
-  explicit InventorySnapshot(SealTag) {}
-
- private:
-  // One grouping set: keys sorted by (cell, packed dims), values
-  // parallel to keys.
-  struct GroupArray {
-    std::vector<GroupKey> keys;
-    std::vector<CellSummary> values;
+  // One grouping set's sections, pointing into the image.
+  struct SetView {
+    const char* keys = nullptr;     // count * 16 B, (cell, dims)-sorted.
+    size_t count = 0;
+    const char* offsets = nullptr;  // (count + 1) * u64 into the blob.
+    const char* blob = nullptr;
+    size_t blob_size = 0;
+    // Lazily decoded summaries, one slot per key. Entries decode on
+    // first access; the CAS loser's copy dies with its unique_ptr.
+    std::unique_ptr<std::atomic<const CellSummary*>[]> cache;
   };
 
-  struct CellSegments {
-    hex::CellIndex cell = hex::kInvalidCell;
-    uint16_t mask = 0;  // Bit i set = MarketSegment(i) present.
-  };
+  Status Bind(const store::SnapshotFileView& view);
+  const CellSummary* Materialize(const SetView& set, size_t i) const;
+  const CellSummary* Find(GroupingSet set, uint64_t cell, uint64_t dims) const;
+  std::vector<hex::CellIndex> RouteCells(uint64_t packed) const;
+  template <typename Visitor>
+  bool Walk(GroupingSet set, const Visitor& visitor) const;
 
-  const CellSummary* Lookup(GroupingSet set, const GroupKey& key) const;
-
+  store::MappedFile image_;
   int resolution_ = 0;
   size_t total_ = 0;
-  std::array<GroupArray, kNumGroupingSets> groups_;
-  RouteIndex route_index_;
-  std::vector<CellSegments> segment_index_;  // Sorted by cell.
   InventorySnapshotStats stats_;
+  std::array<SetView, kNumGroupingSets> sets_;
+  const char* route_spans_ = nullptr;  // 24 B {route, begin, end}.
+  size_t route_span_count_ = 0;
+  const char* route_cells_ = nullptr;  // u64 cells, span-ordered.
+  size_t route_cell_count_ = 0;
+  const char* segments_ = nullptr;     // 16 B {cell, mask}, by cell.
+  size_t segment_count_ = 0;
 };
 
 }  // namespace pol::core

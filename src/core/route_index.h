@@ -46,12 +46,12 @@ class RouteIndex {
 
   // The canonical packed (origin, destination, segment) route key —
   // also the on-disk span key of the POLSNAP1 route-index section, so
-  // the mapped snapshot can binary-search spans straight off the file.
+  // the snapshot can binary-search spans straight off its image.
   static uint64_t PackRouteKey(sim::PortId origin, sim::PortId destination,
                                ais::MarketSegment segment);
 
   // Visits every span as (packed_route, begin, end) in sorted route
-  // order, for the snapshot codec's columnar writer.
+  // order, for Inventory::Seal's section writer.
   template <typename Fn>
   void ForEachSpan(Fn&& fn) const {
     for (const Span& span : spans_) fn(span.route, span.begin, span.end);

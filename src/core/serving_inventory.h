@@ -20,7 +20,9 @@
 // Readers Acquire() the active snapshot (one atomic shared_ptr load)
 // and query it lock-free; Refresh() folds a new batch into the build
 // side, seals a fresh snapshot in the background, and publishes it with
-// Swap() — concurrent readers keep querying the old snapshot, which
+// Swap(). A sealed snapshot serves its heap image exactly as a stored
+// one serves its mapping, summaries decoding lazily on first touch.
+// Concurrent readers keep querying the old snapshot, which
 // stays alive until its last shared_ptr drops. This is the paper's
 // daily incremental fold turned into a zero-downtime refresh.
 //
@@ -68,8 +70,8 @@ class ServingInventory final : public InventoryQuery {
 
   // Takes ownership of the build side and publishes `initial` as-is —
   // no seal. This is the zero-copy cold-start path: `initial` is
-  // typically a mapped snapshot (core/snapshot_codec.h) served straight
-  // off a store file. Resolutions must agree (POL_CHECKed).
+  // typically a stored generation (core/snapshot_codec.h) served
+  // straight off its mapping. Resolutions must agree (POL_CHECKed).
   ServingInventory(Inventory base,
                    std::shared_ptr<const InventorySnapshot> initial);
 
@@ -79,7 +81,7 @@ class ServingInventory final : public InventoryQuery {
   // mmap time, no LoadFromFile, no Seal. Note a later Refresh seals
   // from the build side, which starts empty here: processes that also
   // restore build-side state should use the second overload, which
-  // serves the mapped snapshot while keeping `base` as the refresh
+  // serves the stored snapshot while keeping `base` as the refresh
   // foundation (resolutions must match).
   static Result<std::unique_ptr<ServingInventory>> OpenLatest(
       const store::SnapshotStore& store, uint64_t* generation = nullptr);
@@ -88,14 +90,15 @@ class ServingInventory final : public InventoryQuery {
       uint64_t* generation = nullptr);
 
   // Publish-on-refresh: after this, every successful Refresh writes the
-  // freshly sealed snapshot to `durable` (InventorySnapshot::WriteTo)
-  // *before* swapping it in, so readers never see a snapshot that is
-  // not durable. A publish failure fails the Refresh with the build
-  // side holding the merged delta and the old snapshot still serving —
-  // the same retryable contract as the serving.swap fail point, so the
-  // refresh circuit breaker (core/serving_guard.h) trips on a
-  // persistently failing store. Pass nullptr to detach. The store must
-  // outlive this object; publishes are serialized by the refresh lock.
+  // freshly sealed snapshot's image to `durable` as it is
+  // (InventorySnapshot::WriteTo, no re-encode) *before* swapping it in,
+  // so readers never see a snapshot that is not durable. A publish
+  // failure fails the Refresh with the build side holding the merged
+  // delta and the old snapshot still serving — the same retryable
+  // contract as the serving.swap fail point, so the refresh circuit
+  // breaker (core/serving_guard.h) trips on a persistently failing
+  // store. Pass nullptr to detach. The store must outlive this object;
+  // publishes are serialized by the refresh lock.
   void AttachDurableStore(store::SnapshotStore* durable);
 
   // The active snapshot; never null. Holding the returned shared_ptr

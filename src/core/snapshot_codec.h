@@ -10,10 +10,11 @@
 #include "store/snapshot_store.h"
 
 // The inventory payload schema inside a POLSNAP1 container (the
-// container framing itself lives in store/snapshot_format.h). A sealed
-// InventorySnapshot encodes into columnar sections that mirror its
-// in-memory layout exactly, so a reader can mmap the file and serve
-// queries straight from the mapping:
+// container framing itself lives in store/snapshot_format.h).
+// Inventory::Seal() writes these columnar sections straight from the
+// build-side map, and InventorySnapshot serves queries from them in
+// place, whether the image was just sealed or mapped from a stored
+// generation:
 //
 //   id 0x01  meta            varints: payload version, resolution,
 //                            total, per-set counts, route span/cell
@@ -28,11 +29,11 @@
 //   id 0x41  route cells     u64 cell ids, span-ordered
 //   id 0x42  segment index   16 B records {u64 cell, u64 mask}, sorted
 //
-// MappedSnapshot is the zero-copy server: fixed-width sections (keys,
-// offsets, route index, segment masks) are binary-searched in place;
-// variable-width CellSummary blobs are materialized lazily, one CAS-
-// cached decode per entry on first access — cold start is mmap + CRC
-// validation, with zero parsing and no re-Seal.
+// Fixed-width sections (keys, offsets, route index, segment masks) are
+// binary-searched in place; variable-width CellSummary blobs are
+// decoded lazily, one CAS-cached decode per entry on first access —
+// cold start is mmap + CRC validation, with zero parsing and no
+// re-Seal.
 
 namespace pol::core {
 
@@ -55,16 +56,22 @@ struct SnapshotMeta {
   InventorySnapshotStats stats;
 };
 
+// The meta section's bytes for `meta` at the current payload version.
+std::string EncodeSnapshotMeta(const SnapshotMeta& meta);
+
 // Decodes just the meta section of a validated view. kDataLoss when the
-// section is missing, short, or disagrees with the payload version.
+// section is missing, short, disagrees with the payload version, or
+// its total is not the sum of its per-set counts.
 Result<SnapshotMeta> DecodeSnapshotMeta(const store::SnapshotFileView& view);
 
 // Opens the store's newest readable generation as a serving snapshot
 // backed by the mapping (the returned snapshot owns the mapping for its
-// lifetime). The snapshot's stats() are the seal-time stats restored
-// from the file — seal_sequence identifies the sealing process's
-// ordinal, not this process's. `generation` (optional) receives the
-// generation number served.
+// lifetime). A generation whose payload fails to open is skipped like
+// container damage, inside SnapshotStore::OpenLatest's one fallback
+// walk. The snapshot's stats() are the seal-time stats restored from
+// the file — seal_sequence identifies the sealing process's ordinal,
+// not this process's. `generation` (optional) receives the generation
+// number served.
 Result<std::shared_ptr<const InventorySnapshot>> OpenLatestSnapshot(
     const store::SnapshotStore& store, uint64_t* generation = nullptr);
 
@@ -72,8 +79,7 @@ Result<std::shared_ptr<const InventorySnapshot>> OpenLatestSnapshot(
 Result<std::shared_ptr<const InventorySnapshot>> OpenGenerationSnapshot(
     const store::SnapshotStore& store, uint64_t generation);
 
-// Wraps an already-opened generation. Exposed so callers that did their
-// own fallback walk can still get a serving snapshot from it.
+// Wraps an already-opened generation (InventorySnapshot::FromImage).
 Result<std::shared_ptr<const InventorySnapshot>> SnapshotFromOpened(
     store::SnapshotStore::Opened opened);
 

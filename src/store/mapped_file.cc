@@ -71,11 +71,19 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   ::close(raw);
   if (!file.mapped_) {
     // Heap fallback: same bytes, same validation, not zero-copy.
-    Status read = ReadFileToString(path, &file.heap_);
+    std::string bytes;
+    Status read = ReadFileToString(path, &bytes);
     if (!read.ok()) return read;
-    file.size_ = file.heap_.size();
-    file.data_ = file.heap_.data();
+    return FromString(std::move(bytes));
   }
+  return file;
+}
+
+MappedFile MappedFile::FromString(std::string bytes) {
+  MappedFile file;
+  file.heap_ = std::move(bytes);
+  file.size_ = file.heap_.size();
+  file.data_ = file.heap_.data();
   return file;
 }
 

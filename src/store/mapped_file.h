@@ -15,8 +15,10 @@
 //
 // When mmap is unavailable (exotic filesystems, size 0), Open falls
 // back to reading the file into an anonymous heap buffer — same
-// interface, same validation path, just not zero-copy. Callers can
-// observe which path was taken via mapped() for telemetry.
+// interface, same validation path, just not zero-copy. FromString
+// adopts an image that never touched disk (a freshly sealed snapshot)
+// the same way. Callers can observe which path was taken via mapped()
+// for telemetry.
 
 namespace pol::store {
 
@@ -34,6 +36,10 @@ class MappedFile {
   // on any other failure. An empty file maps to an empty view (which
   // format validation then rejects as too small).
   static Result<MappedFile> Open(const std::string& path);
+
+  // Takes ownership of an in-memory image: the heap-fallback state,
+  // without the read.
+  static MappedFile FromString(std::string bytes);
 
   std::string_view bytes() const {
     return std::string_view(static_cast<const char*>(data_), size_);

@@ -172,7 +172,8 @@ Result<SnapshotStore::Opened> SnapshotStore::OpenPath(
   return opened;
 }
 
-Result<SnapshotStore::Opened> SnapshotStore::OpenLatest() const {
+Result<SnapshotStore::Opened> SnapshotStore::OpenLatest(
+    const AcceptFn& accept) const {
   POL_TRACE_SPAN(kSpanStoreOpen);
   obs::Registry& registry = obs::Registry::Global();
   const double started = obs::NowSeconds();
@@ -184,6 +185,10 @@ Result<SnapshotStore::Opened> SnapshotStore::OpenLatest() const {
   for (size_t i = generations.size(); i-- > 0;) {
     const uint64_t generation = generations[i];
     Result<Opened> opened = OpenPath(GenerationPath(generation), generation);
+    if (opened.ok() && accept) {
+      Status accepted = accept(&*opened);
+      if (!accepted.ok()) opened = std::move(accepted);
+    }
     if (opened.ok()) {
       registry.counter(kMetricStoreOpens)->Increment();
       registry.histogram(kMetricStoreOpenSeconds)

@@ -2,6 +2,7 @@
 #define POL_STORE_SNAPSHOT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,11 +67,20 @@ class SnapshotStore {
   // successful publish sweeps.
   Result<uint64_t> Publish(std::string_view file_image);
 
+  // A payload-level check run on each generation whose container
+  // validated. A non-OK status rejects that generation exactly like
+  // container damage. It may move the mapping out of `*opened` (the
+  // caller's payload then owns it); `generation` stays set.
+  using AcceptFn = std::function<Status(Opened* opened)>;
+
   // Maps and validates the newest readable generation, skipping
-  // corrupt newer ones (each skip increments `store.fallbacks`).
-  // NotFound when the directory holds no generations at all; kDataLoss
-  // when generations exist but every one is unreadable.
-  Result<Opened> OpenLatest() const;
+  // corrupt newer ones (each skip increments `store.fallbacks`) and,
+  // when `accept` is given, newer ones it rejects. This is the one
+  // newest-first walk: store.opens, store.open_failures and
+  // store.open_seconds count one call once. NotFound when the directory
+  // holds no generations at all; kDataLoss when generations exist but
+  // every one is unreadable.
+  Result<Opened> OpenLatest(const AcceptFn& accept = nullptr) const;
 
   // Maps and validates one specific generation.
   Result<Opened> OpenGeneration(uint64_t generation) const;

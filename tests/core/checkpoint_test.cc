@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/status.h"
 #include "common/time_util.h"
 #include "core/cleaning.h"
@@ -23,6 +24,12 @@
 
 namespace pol::core {
 namespace {
+
+#if defined(POL_FAILPOINTS)
+constexpr bool kFailPointsEnabled = true;
+#else
+constexpr bool kFailPointsEnabled = false;
+#endif
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -175,6 +182,38 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToPrevious) {
     file << "also not a snapshot";
   }
   EXPECT_EQ(manager.LoadLatest().status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(CheckpointTest, DurableWriteFaultKeepsPreviousCheckpoint) {
+  if (!kFailPointsEnabled) {
+    GTEST_SKIP() << "fail points compiled out; use the faults preset";
+  }
+  CheckpointManager manager(Config());
+  CheckpointState state = SampleState();
+  state.cursor = 2;
+  ASSERT_TRUE(manager.Write(state).ok());
+  std::string previous;
+  CheckpointManager::Encode(state, &previous);
+
+  FailPointSpec spec;
+  spec.code = StatusCode::kIoError;
+  FailPointRegistry::Global().Arm("store.write", spec);
+  state.cursor = 4;
+  const Status failed = manager.Write(state);
+  FailPointRegistry::Global().Disarm("store.write");
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+
+  // No torn file or stray temp; the previous checkpoint loads to the
+  // same bytes it was written from.
+  EXPECT_EQ(manager.ListSnapshots().size(), 1u);
+  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  const Result<CheckpointState> loaded = manager.LoadLatest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::string reloaded;
+  CheckpointManager::Encode(*loaded, &reloaded);
+  EXPECT_EQ(reloaded, previous);
 }
 
 TEST_F(CheckpointTest, DisabledManagerRefusesIo) {

@@ -235,6 +235,18 @@ TEST_F(FaultInjectionTest, KilledAndResumedRunSurvivesCheckpointWriteFault) {
   KillAndResume(directory_, "checkpoint.write", spec);
 }
 
+TEST_F(FaultInjectionTest, KilledAndResumedRunSurvivesDurableWriteFault) {
+  if (!kFailPointsEnabled) {
+    GTEST_SKIP() << "fail points compiled out; use the faults preset";
+  }
+  // Checkpoints publish through the store's durable writer: its write
+  // fault fails the cursor-4 snapshot, and the cursor-2 one resumes.
+  FailPointSpec spec;
+  spec.fire_from = 1;
+  spec.code = StatusCode::kIoError;
+  KillAndResume(directory_, "store.write", spec);
+}
+
 TEST_F(FaultInjectionTest, ReadFaultFallsBackAcrossSnapshots) {
   if (!kFailPointsEnabled) {
     GTEST_SKIP() << "fail points compiled out; use the faults preset";

@@ -1,19 +1,26 @@
 // Property regression for the serving split: on randomized inventories,
 // the legacy full-scan route query, the build-side route index, and the
-// sealed snapshot must agree on every answer — point lookups
-// byte-identical, corridors element-identical, including the
-// reversed-pair fallback.
+// snapshot — freshly sealed or reopened from a store — must agree on
+// every answer: point lookups byte-identical, corridors
+// element-identical including the reversed-pair fallback, and full
+// visitation equal to the build side in (cell, dims) order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/inventory.h"
 #include "core/inventory_snapshot.h"
+#include "core/snapshot_codec.h"
 #include "hexgrid/hexgrid.h"
+#include "store/snapshot_store.h"
 
 namespace pol::core {
 namespace {
@@ -79,50 +86,112 @@ std::string Bytes(const CellSummary* summary) {
   return out;
 }
 
-TEST(InventoryQueryPropertyTest, ScanIndexAndSnapshotAgree) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    const Sample sample = RandomInventory(seed);
-    const Inventory& inv = sample.inventory;
-    const std::shared_ptr<const InventorySnapshot> snap = inv.Seal();
-    ASSERT_EQ(snap->size(), inv.size()) << "seed " << seed;
+// Every (key, summary bytes) pair of one grouping set, in visit order.
+std::vector<std::pair<GroupKey, std::string>> Walk(const InventoryQuery& q,
+                                                   GroupingSet set) {
+  std::vector<std::pair<GroupKey, std::string>> out;
+  q.VisitGroupingSet(set, [&out](const GroupKey& key,
+                                 const CellSummary& summary) {
+    out.emplace_back(key, Bytes(&summary));
+  });
+  return out;
+}
 
-    // Every route key, in both orientations, plus a never-inserted one.
-    std::vector<RouteKey> queries = sample.routes;
-    for (const RouteKey& route : sample.routes) {
-      queries.push_back({route.destination, route.origin, route.segment});
-    }
-    queries.push_back({200, 201, ais::MarketSegment::kTugAndService});
-    for (const RouteKey& q : queries) {
-      const auto scan =
-          inv.CellsForRouteScan(q.origin, q.destination, q.segment);
-      EXPECT_EQ(inv.CellsForRoute(q.origin, q.destination, q.segment), scan)
-          << "seed " << seed << " route " << q.origin << "->"
-          << q.destination;
-      EXPECT_EQ(snap->CellsForRoute(q.origin, q.destination, q.segment), scan)
-          << "seed " << seed << " route " << q.origin << "->"
-          << q.destination;
-    }
+// The snapshot's canonical visit order: cell, then packed dimensions.
+bool CanonicalLess(const std::pair<GroupKey, std::string>& a,
+                   const std::pair<GroupKey, std::string>& b) {
+  if (a.first.cell != b.first.cell) return a.first.cell < b.first.cell;
+  return GroupKeyDimsPacked(a.first) < GroupKeyDimsPacked(b.first);
+}
 
-    // Point lookups byte-identical on every touched cell (and one miss).
-    std::vector<hex::CellIndex> probes = sample.cells;
-    probes.push_back(hex::LatLngToCell({80, 0}, 6));
-    for (size_t i = 0; i < probes.size(); ++i) {
-      const hex::CellIndex cell = probes[i];
-      EXPECT_EQ(Bytes(snap->Cell(cell)), Bytes(inv.Cell(cell)))
-          << "seed " << seed;
-      const RouteKey& route = sample.routes[i % sample.routes.size()];
-      EXPECT_EQ(Bytes(snap->CellType(cell, route.segment)),
-                Bytes(inv.CellType(cell, route.segment)))
-          << "seed " << seed;
-      EXPECT_EQ(Bytes(snap->CellRouteType(cell, route.origin,
-                                          route.destination, route.segment)),
-                Bytes(inv.CellRouteType(cell, route.origin, route.destination,
-                                        route.segment)))
-          << "seed " << seed;
-      EXPECT_EQ(snap->SegmentsAt(cell), inv.SegmentsAt(cell))
-          << "seed " << seed;
+// Checks one snapshot against the build side it was sealed from.
+void ExpectSnapshotMatchesBuildSide(const Sample& sample,
+                                    const InventorySnapshot& snap) {
+  const Inventory& inv = sample.inventory;
+  ASSERT_EQ(snap.size(), inv.size());
+  EXPECT_EQ(snap.DistinctCells(), inv.DistinctCells());
+
+  // Every route key, in both orientations, plus a never-inserted one:
+  // the build-side index and the snapshot both equal the full scan.
+  std::vector<RouteKey> queries = sample.routes;
+  for (const RouteKey& route : sample.routes) {
+    queries.push_back({route.destination, route.origin, route.segment});
+  }
+  queries.push_back({200, 201, ais::MarketSegment::kTugAndService});
+  for (const RouteKey& q : queries) {
+    const auto scan =
+        inv.CellsForRouteScan(q.origin, q.destination, q.segment);
+    EXPECT_EQ(inv.CellsForRoute(q.origin, q.destination, q.segment), scan)
+        << "route " << q.origin << "->" << q.destination;
+    EXPECT_EQ(snap.CellsForRoute(q.origin, q.destination, q.segment), scan)
+        << "route " << q.origin << "->" << q.destination;
+  }
+
+  // Point lookups byte-identical on every touched cell (and one miss).
+  std::vector<hex::CellIndex> probes = sample.cells;
+  probes.push_back(hex::LatLngToCell({80, 0}, 6));
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const hex::CellIndex cell = probes[i];
+    EXPECT_EQ(Bytes(snap.Cell(cell)), Bytes(inv.Cell(cell)));
+    const RouteKey& route = sample.routes[i % sample.routes.size()];
+    EXPECT_EQ(Bytes(snap.CellType(cell, route.segment)),
+              Bytes(inv.CellType(cell, route.segment)));
+    EXPECT_EQ(Bytes(snap.CellRouteType(cell, route.origin, route.destination,
+                                       route.segment)),
+              Bytes(inv.CellRouteType(cell, route.origin, route.destination,
+                                      route.segment)));
+    EXPECT_EQ(snap.SegmentsAt(cell), inv.SegmentsAt(cell));
+  }
+
+  // Full visitation: the snapshot walks exactly the build side's
+  // summaries, keys and bytes, in (cell, dims) order.
+  for (int s = 0; s < kNumGroupingSets; ++s) {
+    const auto set = static_cast<GroupingSet>(s);
+    auto expected = Walk(inv, set);
+    std::sort(expected.begin(), expected.end(), CanonicalLess);
+    const auto walked = Walk(snap, set);
+    ASSERT_EQ(walked.size(), expected.size()) << "set " << s;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(walked[i].first, expected[i].first)
+          << "set " << s << " entry " << i;
+      EXPECT_EQ(walked[i].second, expected[i].second)
+          << "set " << s << " entry " << i;
     }
   }
+}
+
+// Scan vs snapshot, for a freshly sealed snapshot (heap image) and the
+// same generation reopened from a store (mapped image): both answer
+// every query like the build side, and both hold the same bytes.
+TEST(InventoryQueryPropertyTest, ScanAndSnapshotAgree) {
+  const std::string root =
+      (std::filesystem::path(::testing::TempDir()) / "pol_scan_vs_snapshot")
+          .string();
+  std::filesystem::remove_all(root);
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Sample sample = RandomInventory(seed);
+    const std::shared_ptr<const InventorySnapshot> sealed =
+        sample.inventory.Seal();
+    ExpectSnapshotMatchesBuildSide(sample, *sealed);
+
+    store::SnapshotStoreOptions options;
+    options.directory =
+        (std::filesystem::path(root) / std::to_string(seed)).string();
+    store::SnapshotStore store(options);
+    ASSERT_TRUE(sealed->WriteTo(&store).ok());
+    const Result<std::shared_ptr<const InventorySnapshot>> reopened =
+        OpenLatestSnapshot(store);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectSnapshotMatchesBuildSide(sample, **reopened);
+
+    std::string sealed_image;
+    std::string reopened_image;
+    sealed->EncodeTo(&sealed_image);
+    (*reopened)->EncodeTo(&reopened_image);
+    EXPECT_EQ(reopened_image, sealed_image);
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(InventoryQueryPropertyTest, IndexSurvivesMerges) {

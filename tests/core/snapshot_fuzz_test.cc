@@ -182,11 +182,11 @@ struct Payloads {
 std::string MetaBytes(uint64_t version, uint64_t resolution,
                       const std::array<uint64_t, kNumGroupingSets>& counts,
                       uint64_t routes, uint64_t route_cells,
-                      uint64_t segment_cells) {
+                      uint64_t segment_cells, int64_t total_skew = 0) {
   std::string meta;
   PutVarint64(&meta, version);
   PutVarint64(&meta, resolution);
-  uint64_t total = 0;
+  uint64_t total = static_cast<uint64_t>(total_skew);
   for (const uint64_t count : counts) total += count;
   PutVarint64(&meta, total);
   for (const uint64_t count : counts) PutVarint64(&meta, count);
@@ -264,6 +264,16 @@ TEST_F(SnapshotHostileTest, AbsurdResolution) {
   EXPECT_EQ(OpenHostile(p).code(), StatusCode::kDataLoss);
 }
 
+TEST_F(SnapshotHostileTest, MetaTotalDisagreesWithPerSetCounts) {
+  // The total becomes size() and the active-summaries gauge; one more
+  // or one fewer than the key sections hold is damage, not a count.
+  for (const int64_t skew : {int64_t{-1}, int64_t{1}}) {
+    Payloads p = ValidPayloads();
+    p.meta = MetaBytes(kSnapPayloadVersion, 6, {2, 0, 0}, 1, 1, 1, skew);
+    EXPECT_EQ(OpenHostile(p).code(), StatusCode::kDataLoss) << skew;
+  }
+}
+
 TEST_F(SnapshotHostileTest, TruncatedMeta) {
   Payloads p = ValidPayloads();
   p.meta = p.meta.substr(0, 3);
@@ -280,6 +290,27 @@ TEST_F(SnapshotHostileTest, KeySectionSizeDisagreesWithMeta) {
   Payloads p = ValidPayloads();
   p.keys[0].resize(p.keys[0].size() - 8);
   EXPECT_EQ(OpenHostile(p).code(), StatusCode::kDataLoss);
+}
+
+TEST_F(SnapshotHostileTest, CountsWrapToSectionSizes) {
+  // 2^63 + 2 keys of 16 B and 2^63 + 3 offsets of 8 B wrap to the 32
+  // and 24 bytes two summaries really take. With empty summaries every
+  // byte after the offsets is zero, so an open that trusted the product
+  // would scan "monotone" zero offsets off the end of the image.
+  constexpr uint64_t kHuge = uint64_t{1} << 63;
+  Payloads keys = ValidPayloads();
+  keys.meta = MetaBytes(kSnapPayloadVersion, 6, {kHuge + 2, 0, 0}, 0, 0, 0);
+  keys.offsets[0] = std::string(3 * sizeof(uint64_t), '\0');
+  keys.blobs[0].clear();
+  keys.spans.clear();
+  keys.route_cells.clear();
+  keys.segments.clear();
+  EXPECT_EQ(OpenHostile(keys).code(), StatusCode::kDataLoss);
+  // 2^61 + 1 spans of 24 B wrap to the one span really present.
+  Payloads spans = ValidPayloads();
+  spans.meta = MetaBytes(kSnapPayloadVersion, 6, {2, 0, 0},
+                         (uint64_t{1} << 61) + 1, 1, 1);
+  EXPECT_EQ(OpenHostile(spans).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SnapshotHostileTest, KeysOutOfOrder) {

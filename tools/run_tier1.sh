@@ -34,8 +34,12 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # stress tests exist specifically to give TSan interleavings to bite on.
 # The SmallVector, sketch-boundary, merge-property and golden-bytes
 # tests cover the summaries' inline/heap storage, where ASan and UBSan
-# catch overruns and lifetime errors.
-SAN_TESTS="threadpool_test|dataset_test|concurrency_stress_test|pipeline_test|pipeline_property_test|pipeline_chunked_test|cleaning_test|extractor_test|inventory_test|serving_inventory_test|serving_resilience_test|window_test|small_vector_test|sketch_boundary_test|merge_property_test|golden_bytes_test"
+# catch overruns and lifetime errors. Every snapshot — sealed or mapped —
+# serves from offset arithmetic over one byte image with CAS-cached lazy
+# decodes, so the snapshot and scan-vs-snapshot property tests run here
+# too (and serving_inventory_test's swap readers decode lazily under
+# TSan).
+SAN_TESTS="threadpool_test|dataset_test|concurrency_stress_test|pipeline_test|pipeline_property_test|pipeline_chunked_test|cleaning_test|extractor_test|inventory_test|serving_inventory_test|serving_resilience_test|window_test|small_vector_test|sketch_boundary_test|merge_property_test|golden_bytes_test|inventory_snapshot_test|inventory_query_property_test"
 
 # The failure-containment suite: these run in every build, but only the
 # faults preset (POL_FAILPOINTS=ON) un-skips the armed kill-and-resume
