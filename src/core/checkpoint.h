@@ -3,43 +3,54 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "store/snapshot_store.h"
 
 // Checkpoint/resume for the chunked pipeline. Every K accounted chunks
 // (folded or quarantined — the fold cursor), RunPipeline serializes the
 // InventoryBuilder state plus the cursor and the quarantine ledger into
-// a snapshot file; a restarted run detects the newest valid snapshot,
+// a snapshot; a restarted run detects the newest valid snapshot,
 // restores the builder, and resumes folding at the cursor. Because the
 // sink runs strictly in ascending chunk order, a snapshot at cursor c
 // is exactly the state of an uninterrupted run after c chunks, so a
 // killed-and-resumed run produces a byte-identical inventory (the
 // fault-injection suite asserts this at every fail point).
 //
-// Snapshot file format (one file per snapshot, "pol-ckpt-<seq>.snap"):
+// Each snapshot is one generation ("snap-<gen>.pol") of a
+// store::SnapshotStore rooted at the checkpoint directory: a POLSNAP1
+// container (store/snapshot_format.h) holding two sections.
 //
-//   magic "POLCKP01" | varint body_size | body | crc32(body) LE32
+//   id 0x80  checkpoint meta   varint version (=1)
+//                              varint cursor        chunks accounted
+//                              varint total_chunks  of the run
+//                              varint quarantine count
+//                                per entry: varint chunk_index,
+//                                varint records, varint attempts,
+//                                varint status code,
+//                                length-prefixed message
+//   id 0x81  builder state     InventoryBuilder::SerializeState bytes
 //
-//   body: varint version (=1)
-//         varint cursor              chunks accounted so far
-//         varint total_chunks        of the run being checkpointed
-//         varint quarantine count
-//           per entry: varint chunk_index, varint records,
-//                      varint attempts, varint status code,
-//                      length-prefixed message
-//         length-prefixed builder state (InventoryBuilder::SerializeState)
-//
-// Writes go through store::WriteFileDurable (tmp file + fsync + rename
-// + directory fsync) and are rotated (newest `keep` snapshots survive),
-// so neither a crash nor a power loss mid-write destroys the previous
-// good snapshot. Loading walks snapshots newest-first and falls back
-// across corrupt or unreadable ones. Checkpoint I/O carries the
-// "checkpoint.write" and "checkpoint.read" fail points, and writes the
-// store's "store.write" / "store.rename" ones too.
+// The ids are disjoint from the inventory schema's (core/snapshot_codec.h),
+// so opening a checkpoint directory as an inventory store, or the
+// reverse, fails as kDataLoss. Writes are SnapshotStore::Publish
+// (durable, atomic, GC down to `keep`); loading is
+// SnapshotStore::OpenLatest, whose one newest-first walk falls back past
+// torn, corrupt and rejected generations and counts each skip in
+// `store.fallbacks`. The meta decode rejects inconsistent state (cursor
+// past the chunk count, more quarantined chunks than accounted ones,
+// unordered or out-of-range ledger entries) as kDataLoss, so such a
+// generation is fallen back past too. Checkpoint I/O carries the
+// "checkpoint.write" and "checkpoint.read" fail points, plus the
+// store's own.
 
 namespace pol::core {
+
+// Section ids of the checkpoint schema inside a POLSNAP1 generation.
+inline constexpr uint32_t kCheckpointSectionMeta = 0x80;
+inline constexpr uint32_t kCheckpointSectionBuilderState = 0x81;
+inline constexpr uint64_t kCheckpointVersion = 1;
 
 struct CheckpointConfig {
   // Snapshot directory; empty disables checkpointing. Created on the
@@ -79,29 +90,26 @@ class CheckpointManager {
   bool enabled() const { return !config_.directory.empty(); }
   const CheckpointConfig& config() const { return config_; }
 
-  // Writes one snapshot atomically and rotates old ones down to
-  // `keep`. Sequence numbers continue past any snapshots already in the
+  // Publishes one snapshot as the next generation and GCs old ones down
+  // to `keep`. Generation numbers continue past any already in the
   // directory, so a resumed run never overwrites its predecessor's
   // files. Fail point: "checkpoint.write".
   Status Write(const CheckpointState& state);
 
-  // Loads the newest snapshot that validates (magic, size, CRC, body),
-  // falling back to older ones on corruption; NotFound when the
-  // directory holds no loadable snapshot. Fail point: "checkpoint.read"
-  // (a fired read makes the snapshot under inspection unreadable, so
-  // fallback — and ultimately a fresh start — still works).
+  // Loads the newest generation that validates (container and meta),
+  // falling back to older ones. NotFound when the directory holds no
+  // generations; kDataLoss when some exist but none loads. Fail point:
+  // "checkpoint.read" (a fired read rejects the generation under
+  // inspection, so fallback — and ultimately a fresh start — still
+  // works).
   Result<CheckpointState> LoadLatest() const;
 
-  // Snapshot paths currently on disk, ascending by sequence.
+  // Snapshot paths currently on disk, ascending by generation.
   std::vector<std::string> ListSnapshots() const;
-
-  // Serialization of one snapshot, exposed for tests.
-  static void Encode(const CheckpointState& state, std::string* out);
-  static Result<CheckpointState> Decode(std::string_view input);
 
  private:
   CheckpointConfig config_;
-  uint64_t next_sequence_ = 1;  // Advanced on construction and per write.
+  store::SnapshotStore store_;
 };
 
 }  // namespace pol::core

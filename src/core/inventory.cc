@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "common/varint.h"
 #include "hexgrid/hex_math.h"
 #include "hexgrid/hexgrid.h"
+#include "store/atomic_file.h"
 
 namespace pol::core {
 namespace {
@@ -244,18 +244,12 @@ Result<Inventory> Inventory::DeserializeFrom(std::string_view input) {
 Status Inventory::SaveToFile(const std::string& path) const {
   std::string bytes;
   SerializeTo(&bytes);
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return Status::IoError("cannot open for writing: " + path);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!file) return Status::IoError("short write: " + path);
-  return Status::OK();
+  return store::WriteFileDurable(path, bytes);
 }
 
 Result<Inventory> Inventory::LoadFromFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open for reading: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
+  std::string bytes;
+  POL_RETURN_IF_ERROR(store::ReadFileToString(path, &bytes));
   return DeserializeFrom(bytes);
 }
 

@@ -107,7 +107,9 @@ class Inventory final : public InventoryQuery {
   // serving.seal_seconds.
   std::shared_ptr<const InventorySnapshot> Seal() const;
 
-  // Checksummed binary serialization.
+  // Checksummed binary serialization. Saving replaces `path` durably
+  // (store::WriteFileDurable: temp + fsync + rename), so a crash leaves
+  // the old file or the new one, never a torn one.
   Status SaveToFile(const std::string& path) const;
   static Result<Inventory> LoadFromFile(const std::string& path);
 

@@ -11,7 +11,6 @@
 #include "core/run_report.h"
 #include "core/stages.h"
 #include "obs/clock.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace pol::core {
@@ -219,12 +218,12 @@ PipelineResult RunPipeline(const std::vector<ais::PositionReport>& reports,
   result.wall_seconds = obs::NowSeconds() - run_start;
   if (tracing) {
     obs::TraceRecorder::Global().Stop();
-    std::string error;
-    if (!obs::WriteTextFileAtomic(
-            config.obs.trace_path,
-            obs::TraceRecorder::Global().ExportChromeTraceJson(), &error)) {
+    const Status written = WriteRunArtifact(
+        config.obs.trace_path,
+        obs::TraceRecorder::Global().ExportChromeTraceJson());
+    if (!written.ok()) {
       POL_LOG(Warning) << "cannot write trace to " << config.obs.trace_path
-                       << ": " << error;
+                       << ": " << written.message();
     }
   }
   if (!config.obs.report_path.empty()) {

@@ -1,8 +1,10 @@
 #include "core/run_report.h"
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "core/serving_guard.h"
@@ -10,7 +12,7 @@
 #include "flow/stage.h"
 #include "flow/stage_runner.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
+#include "store/atomic_file.h"
 #include "store/store_metric_names.h"
 
 namespace pol::core {
@@ -230,11 +232,17 @@ obs::Json BuildRunReport(const PipelineConfig& config,
 
 Status WriteRunReport(const std::string& path, const PipelineConfig& config,
                       const PipelineResult& result) {
-  std::string error;
-  if (!obs::WriteJsonFile(path, BuildRunReport(config, result), &error)) {
-    return Status::IoError("cannot write run report: " + error);
+  return WriteRunArtifact(path, BuildRunReport(config, result).Dump(2) + "\n");
+}
+
+Status WriteRunArtifact(const std::string& path, std::string_view text) {
+  const std::filesystem::path target(path);
+  if (target.has_parent_path()) {
+    // A failed create only matters if the write below fails too.
+    std::error_code ec;
+    std::filesystem::create_directories(target.parent_path(), ec);
   }
-  return Status::OK();
+  return store::WriteFileDurable(path, text);
 }
 
 }  // namespace pol::core

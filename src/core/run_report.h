@@ -2,6 +2,7 @@
 #define POL_CORE_RUN_REPORT_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/pipeline.h"
@@ -41,9 +42,13 @@ namespace pol::core {
 obs::Json BuildRunReport(const PipelineConfig& config,
                          const PipelineResult& result);
 
-// Builds and writes the report to `path` (atomic, pretty-printed).
+// Builds and writes the report to `path` (durable, pretty-printed).
 Status WriteRunReport(const std::string& path, const PipelineConfig& config,
                       const PipelineResult& result);
+
+// Writes one run artifact (the report, the trace export) through
+// store::WriteFileDurable, creating missing parent directories first.
+Status WriteRunArtifact(const std::string& path, std::string_view text);
 
 }  // namespace pol::core
 

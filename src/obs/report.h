@@ -6,12 +6,15 @@
 
 #include "obs/json.h"
 
-// File emission for observability artifacts: run reports, trace
-// exports and bench summaries all land on disk through these. Writes
-// are atomic (tmp file + rename) so a crash mid-write never leaves a
-// half-document where a consumer polls for reports. Error reporting is
-// bool + message rather than pol::Status because obs sits below common
-// in the layering; core/run_report wraps these into Status.
+// File emission for telemetry: the periodic OpenMetrics export and the
+// bench summaries land on disk through these. Writes are atomic (tmp
+// file + rename) so a poller never sees a half-document, but not
+// durable (no fsync): obs sits below store in the layering, so it
+// cannot reach store::WriteFileDurable, and a telemetry tick torn by a
+// power cut costs nothing — the next tick replaces it. Run reports and
+// trace exports are run artifacts and go through the durable writer
+// instead (core/run_report.h). Error reporting is bool + message rather
+// than pol::Status because obs sits below common in the layering.
 
 namespace pol::obs {
 

@@ -195,8 +195,8 @@ Result<SnapshotStore::Opened> SnapshotStore::OpenLatest(
           ->Record(obs::NowSeconds() - started);
       return opened;
     }
-    // This generation is torn or damaged — fall back to the previous
-    // one, exactly like checkpoint corrupt-fallback resume.
+    // This generation is torn, damaged or rejected — fall back to the
+    // previous one.
     registry.counter(kMetricStoreFallbacks)->Increment();
     if (!failures.empty()) failures += "; ";
     failures += "gen " + std::to_string(generation) + ": " +

@@ -28,7 +28,9 @@
 // that can itself be torn would reintroduce the problem the scan
 // solves. OpenLatest walks generations newest-first and falls back
 // past torn, truncated or CRC-failing files (counted in
-// `store.fallbacks`), mirroring checkpoint corrupt-fallback resume.
+// `store.fallbacks`). Sealed inventories (core/snapshot_codec.h) and
+// pipeline checkpoints (core/checkpoint.h) are both stored this way,
+// each behind its own accept check.
 //
 // Thread safety: OpenLatest/OpenGeneration/ListGenerations are safe
 // to call concurrently. Publish is not self-synchronizing — callers

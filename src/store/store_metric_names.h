@@ -24,9 +24,10 @@ inline constexpr std::string_view kMetricStoreGcRemoved = "store.gc_removed";
 inline constexpr std::string_view kMetricStoreOpens = "store.opens";
 inline constexpr std::string_view kMetricStoreOpenFailures =
     "store.open_failures";
-// Generations skipped over (torn, truncated or CRC-failing) before
-// OpenLatest found a good one — the durable analogue of checkpoint
-// corrupt-fallback resume. The chaos tests assert this increments.
+// Generations skipped over (torn, truncated, CRC-failing or rejected by
+// the payload's accept check) before OpenLatest found a good one. The
+// store.* totals are layer-wide: checkpoint generations count here too.
+// The chaos tests assert this increments.
 inline constexpr std::string_view kMetricStoreFallbacks = "store.fallbacks";
 inline constexpr std::string_view kMetricStoreOpenSeconds =
     "store.open_seconds";

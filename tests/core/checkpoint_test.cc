@@ -1,6 +1,8 @@
-// CheckpointManager: snapshot framing (magic/varint/CRC), atomic write
-// + rotation, newest-valid-wins loading with corrupt fallback, and the
-// InventoryBuilder state round-trip the snapshots carry.
+// CheckpointManager: checkpoints as SnapshotStore generations — publish
+// + rotation, newest-valid-wins loading through OpenLatest's one
+// fallback walk, format hostility (every truncation, every bit flip,
+// container-valid but inconsistent meta), and the InventoryBuilder
+// state round-trip the snapshots carry.
 
 #include "core/checkpoint.h"
 
@@ -8,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,12 +19,21 @@
 #include "common/failpoint.h"
 #include "common/status.h"
 #include "common/time_util.h"
+#include "common/varint.h"
 #include "core/cleaning.h"
+#include "core/inventory.h"
 #include "core/inventory_builder.h"
+#include "core/snapshot_codec.h"
 #include "core/stages.h"
+#include "flow/dataset.h"
 #include "flow/stage.h"
 #include "flow/threadpool.h"
+#include "hexgrid/hexgrid.h"
+#include "obs/metrics.h"
 #include "sim/fleet.h"
+#include "store/snapshot_format.h"
+#include "store/snapshot_store.h"
+#include "store/store_metric_names.h"
 
 namespace pol::core {
 namespace {
@@ -61,7 +74,7 @@ CheckpointState SampleState() {
   state.cursor = 7;
   state.total_chunks = 12;
   CheckpointQuarantineEntry entry;
-  entry.chunk_index = 3;
+  entry.chunk_index = 0;
   entry.records = 41;
   entry.attempts = 2;
   entry.code = StatusCode::kCorruption;
@@ -85,37 +98,6 @@ void ExpectStatesEqual(const CheckpointState& a, const CheckpointState& b) {
   EXPECT_EQ(a.builder_state, b.builder_state);
 }
 
-TEST_F(CheckpointTest, EncodeDecodeRoundTrip) {
-  const CheckpointState state = SampleState();
-  std::string bytes;
-  CheckpointManager::Encode(state, &bytes);
-  const Result<CheckpointState> decoded = CheckpointManager::Decode(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectStatesEqual(*decoded, state);
-}
-
-TEST_F(CheckpointTest, DecodeRejectsCorruptInput) {
-  std::string bytes;
-  CheckpointManager::Encode(SampleState(), &bytes);
-
-  EXPECT_EQ(CheckpointManager::Decode("short").status().code(),
-            StatusCode::kCorruption);
-
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_EQ(CheckpointManager::Decode(bad_magic).status().code(),
-            StatusCode::kCorruption);
-
-  std::string truncated = bytes.substr(0, bytes.size() - 5);
-  EXPECT_EQ(CheckpointManager::Decode(truncated).status().code(),
-            StatusCode::kCorruption);
-
-  std::string flipped = bytes;
-  flipped[bytes.size() / 2] =
-      static_cast<char>(flipped[bytes.size() / 2] ^ 0x40);
-  EXPECT_FALSE(CheckpointManager::Decode(flipped).ok());
-}
-
 TEST_F(CheckpointTest, WriteLoadRoundTripAndSequenceNumbers) {
   CheckpointManager manager(Config());
   ASSERT_TRUE(manager.enabled());
@@ -129,7 +111,7 @@ TEST_F(CheckpointTest, WriteLoadRoundTripAndSequenceNumbers) {
 
   const Result<CheckpointState> loaded = manager.LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->cursor, 4u);
+  ExpectStatesEqual(*loaded, state);
 
   // A fresh manager over the same directory continues the numbering
   // instead of overwriting.
@@ -175,13 +157,15 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToPrevious) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->cursor, 2u);
 
-  // Scribble over the older one too: nothing loadable remains.
+  // Scribble over the older one too: generations exist but none is
+  // readable, which the store reports as data loss (an empty directory
+  // stays NotFound). The pipeline starts fresh on either.
   {
     std::ofstream file(snapshots.front(),
                        std::ios::binary | std::ios::trunc);
     file << "also not a snapshot";
   }
-  EXPECT_EQ(manager.LoadLatest().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(manager.LoadLatest().status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(CheckpointTest, DurableWriteFaultKeepsPreviousCheckpoint) {
@@ -192,8 +176,7 @@ TEST_F(CheckpointTest, DurableWriteFaultKeepsPreviousCheckpoint) {
   CheckpointState state = SampleState();
   state.cursor = 2;
   ASSERT_TRUE(manager.Write(state).ok());
-  std::string previous;
-  CheckpointManager::Encode(state, &previous);
+  const CheckpointState previous = state;
 
   FailPointSpec spec;
   spec.code = StatusCode::kIoError;
@@ -204,16 +187,296 @@ TEST_F(CheckpointTest, DurableWriteFaultKeepsPreviousCheckpoint) {
   EXPECT_EQ(failed.code(), StatusCode::kIoError);
 
   // No torn file or stray temp; the previous checkpoint loads to the
-  // same bytes it was written from.
+  // state it was written from.
   EXPECT_EQ(manager.ListSnapshots().size(), 1u);
   for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
   const Result<CheckpointState> loaded = manager.LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::string reloaded;
-  CheckpointManager::Encode(*loaded, &reloaded);
-  EXPECT_EQ(reloaded, previous);
+  ExpectStatesEqual(*loaded, previous);
+}
+
+uint64_t Fallbacks() {
+  return obs::Registry::Global().counter(store::kMetricStoreFallbacks)->value();
+}
+
+// Serialized state of a builder that folded a few real records, so a
+// generation built from it carries a genuine builder section.
+std::string RealBuilderState() {
+  flow::ThreadPool pool(1);
+  std::vector<PipelineRecord> records;
+  for (int i = 0; i < 6; ++i) {
+    PipelineRecord r;
+    r.mmsi = 215000001;
+    r.timestamp = 1640995200 + 600 * i;
+    r.lat_deg = 10.0 + 0.5 * i;
+    r.lng_deg = 20.0 + 0.5 * i;
+    r.sog_knots = 12.0 + i;
+    r.cog_deg = 45.0;
+    r.heading_deg = 45.0;
+    r.segment = ais::MarketSegment::kContainer;
+    r.trip_id = 1;
+    r.origin = 3;
+    r.destination = 21;
+    r.eto_s = 600 * i;
+    r.ata_s = 7200 - 600 * i;
+    r.cell = hex::LatLngToCell({r.lat_deg, r.lng_deg}, 6);
+    records.push_back(r);
+  }
+  ExtractorConfig config;
+  config.resolution = 6;
+  InventoryBuilder builder(config);
+  builder.Fold(flow::Dataset<PipelineRecord>::FromVector(std::move(records),
+                                                         1, &pool));
+  std::string state;
+  builder.SerializeState(&state);
+  return state;
+}
+
+// Meta section bytes laid out as checkpoint.h documents them, with
+// every field under the test's control — including values a run could
+// never have written.
+struct MetaFields {
+  uint64_t version = kCheckpointVersion;
+  uint64_t cursor = 4;
+  uint64_t total_chunks = 8;
+  // {chunk_index, status code} per ledger entry.
+  std::vector<std::pair<uint64_t, uint64_t>> ledger = {{1, 5}};
+  std::string trailing;
+
+  std::string Encode() const {
+    std::string out;
+    PutVarint64(&out, version);
+    PutVarint64(&out, cursor);
+    PutVarint64(&out, total_chunks);
+    PutVarint64(&out, ledger.size());
+    for (const auto& [chunk_index, code] : ledger) {
+      PutVarint64(&out, chunk_index);
+      PutVarint64(&out, /*records=*/10);
+      PutVarint64(&out, /*attempts=*/1);
+      PutVarint64(&out, code);
+      PutLengthPrefixed(&out, "quarantined");
+    }
+    out += trailing;
+    return out;
+  }
+};
+
+std::string CheckpointImage(const MetaFields& meta, bool with_builder = true) {
+  store::SnapshotFileBuilder builder;
+  builder.AddSection(kCheckpointSectionMeta, meta.Encode());
+  if (with_builder) {
+    builder.AddSection(kCheckpointSectionBuilderState, "builder bytes");
+  }
+  return builder.Finish();
+}
+
+// Damages `path` in place by overwriting it with `bytes`.
+void Overwrite(const std::string& path, std::string_view bytes) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(CheckpointTest, HandBuiltImageLoads) {
+  // The hostile cases below differ from this one in one field each, so
+  // each rejection is that field's.
+  store::SnapshotStore store(store::SnapshotStoreOptions{directory_, 8});
+  ASSERT_TRUE(store.Publish(CheckpointImage(MetaFields{})).ok());
+  const Result<CheckpointState> loaded = CheckpointManager(Config()).LoadLatest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->cursor, 4u);
+  EXPECT_EQ(loaded->total_chunks, 8u);
+  ASSERT_EQ(loaded->quarantined.size(), 1u);
+  EXPECT_EQ(loaded->quarantined[0].chunk_index, 1u);
+  EXPECT_EQ(loaded->quarantined[0].code, StatusCode::kCorruption);
+  EXPECT_EQ(loaded->builder_state, "builder bytes");
+}
+
+TEST_F(CheckpointTest, InconsistentMetaIsDataLossAndFallsBack) {
+  // One case per consistency rule; `why` is the rejection each must
+  // report, so no case passes on another rule's account.
+  struct Case {
+    std::string why;
+    MetaFields meta;
+    bool with_builder = true;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"cursor past the chunk count", {}};
+    c.meta.cursor = 9;
+    cases.push_back(c);
+  }
+  {
+    Case c{"more quarantined chunks than accounted ones", {}};
+    c.meta.cursor = 2;
+    c.meta.ledger = {{0, 5}, {1, 5}, {2, 5}};
+    cases.push_back(c);
+  }
+  {
+    Case c{"quarantined chunk at or past the cursor", {}};
+    c.meta.ledger = {{4, 5}};
+    cases.push_back(c);
+  }
+  {
+    Case c{"quarantined chunk indices not increasing", {}};
+    c.meta.ledger = {{2, 5}, {2, 5}};
+    cases.push_back(c);
+  }
+  {
+    Case c{"bad status code", {}};
+    c.meta.ledger = {{1, static_cast<uint64_t>(kMaxStatusCode) + 1}};
+    cases.push_back(c);
+  }
+  {
+    Case c{"unsupported version", {}};
+    c.meta.version = kCheckpointVersion + 1;
+    cases.push_back(c);
+  }
+  {
+    Case c{"trailing bytes", {}};
+    c.meta.trailing = "x";
+    cases.push_back(c);
+  }
+  {
+    Case c{"missing section id 129", {}};
+    c.with_builder = false;
+    cases.push_back(c);
+  }
+
+  CheckpointManager manager(Config(/*interval=*/1, /*keep=*/8));
+  CheckpointState good = SampleState();
+  good.cursor = 2;
+  ASSERT_TRUE(manager.Write(good).ok());
+  store::SnapshotStore store(store::SnapshotStoreOptions{directory_, 8});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.why);
+    // The newest generation is the hostile one; the good one sits
+    // below it.
+    ASSERT_TRUE(store.Publish(CheckpointImage(c.meta, c.with_builder)).ok());
+    const uint64_t fallbacks_before = Fallbacks();
+    const Result<CheckpointState> loaded = manager.LoadLatest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectStatesEqual(*loaded, good);
+    if (obs::kEnabled) {
+      EXPECT_EQ(Fallbacks(), fallbacks_before + 1);
+    }
+
+    // Alone in a directory, it is data loss rather than a resume, and
+    // the store's failure list names the rule.
+    const std::string alone = directory_ + "_alone";
+    std::filesystem::remove_all(alone);
+    store::SnapshotStore lone(store::SnapshotStoreOptions{alone, 1});
+    ASSERT_TRUE(lone.Publish(CheckpointImage(c.meta, c.with_builder)).ok());
+    CheckpointConfig lone_config = Config();
+    lone_config.directory = alone;
+    const Status status = CheckpointManager(lone_config).LoadLatest().status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(status.message().find(c.why), std::string::npos)
+        << status.ToString();
+    std::filesystem::remove_all(alone);
+
+    // Retire the hostile generation before the next case.
+    std::filesystem::remove(store.GenerationPath(store.ListGenerations().back()));
+  }
+}
+
+// Every-truncation and every-bit-flip fuzz over one real checkpoint
+// generation, with an older good generation beneath it. Together these
+// cover what the old framing tests checked: a short input, bad magic,
+// a truncated body and a flipped bit each leave the older state loaded.
+class CheckpointFuzzTest : public CheckpointTest {
+ protected:
+  void SetUp() override {
+    CheckpointTest::SetUp();
+    CheckpointManager manager(Config());
+    older_ = SampleState();
+    older_.cursor = 2;
+    older_.builder_state = RealBuilderState();
+    ASSERT_TRUE(manager.Write(older_).ok());
+    CheckpointState newest = older_;
+    newest.cursor = 4;
+    ASSERT_TRUE(manager.Write(newest).ok());
+    newest_path_ = manager.ListSnapshots().back();
+    std::ifstream file(newest_path_, std::ios::binary);
+    image_.assign(std::istreambuf_iterator<char>(file),
+                  std::istreambuf_iterator<char>());
+    ASSERT_TRUE(store::SnapshotFileView::Validate(image_).ok());
+  }
+
+  // Overwrites the newest generation with `bytes`; LoadLatest must
+  // return the older state with exactly one fallback.
+  void ExpectFallsBack(std::string_view bytes, const std::string& what) {
+    Overwrite(newest_path_, bytes);
+    const uint64_t fallbacks_before = Fallbacks();
+    const Result<CheckpointState> loaded =
+        CheckpointManager(Config()).LoadLatest();
+    ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
+    ASSERT_EQ(loaded->cursor, older_.cursor) << what;
+    ASSERT_EQ(loaded->builder_state, older_.builder_state) << what;
+    if (obs::kEnabled) {
+      ASSERT_EQ(Fallbacks(), fallbacks_before + 1) << what;
+    }
+  }
+
+  CheckpointState older_;
+  std::string newest_path_;
+  std::string image_;
+};
+
+TEST_F(CheckpointFuzzTest, UntamperedNewestLoads) {
+  Overwrite(newest_path_, image_);
+  const Result<CheckpointState> loaded =
+      CheckpointManager(Config()).LoadLatest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  CheckpointState newest = older_;
+  newest.cursor = 4;
+  ExpectStatesEqual(*loaded, newest);
+}
+
+TEST_F(CheckpointFuzzTest, EveryTruncationFallsBackToOlder) {
+  // Every length through the header, table and meta section, then a
+  // dense sample of the builder section.
+  for (size_t keep = 0; keep < image_.size();
+       keep += (keep < 320 ? 1 : 13)) {
+    ExpectFallsBack(std::string_view(image_).substr(0, keep),
+                    std::to_string(keep) + " bytes kept");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_F(CheckpointFuzzTest, EveryBitFlipFallsBackToOlder) {
+  // One flipped bit per probed byte, rotating which bit; the magic,
+  // header fields, table, meta payload and padding are all hit.
+  for (size_t i = 0; i < image_.size(); i += (i < 320 ? 1 : 7)) {
+    std::string corrupt = image_;
+    corrupt[i] = static_cast<char>(corrupt[i] ^ (1u << (i % 8)));
+    ExpectFallsBack(corrupt, "byte " + std::to_string(i));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_F(CheckpointTest, SchemasDoNotCrossOpen) {
+  // A checkpoint directory is not an inventory store...
+  CheckpointManager manager(Config());
+  ASSERT_TRUE(manager.Write(SampleState()).ok());
+  const store::SnapshotStore checkpoints(
+      store::SnapshotStoreOptions{directory_, 2});
+  EXPECT_EQ(OpenLatestSnapshot(checkpoints).status().code(),
+            StatusCode::kDataLoss);
+
+  // ...and an inventory store is not a checkpoint directory.
+  const std::string inventories = directory_ + "_inventory";
+  std::filesystem::remove_all(inventories);
+  store::SnapshotStore store(store::SnapshotStoreOptions{inventories, 2});
+  std::string image;
+  Inventory(6, SummaryMap{}).Seal()->EncodeTo(&image);
+  ASSERT_TRUE(store.Publish(image).ok());
+  CheckpointConfig config = Config();
+  config.directory = inventories;
+  EXPECT_EQ(CheckpointManager(config).LoadLatest().status().code(),
+            StatusCode::kDataLoss);
+  std::filesystem::remove_all(inventories);
 }
 
 TEST_F(CheckpointTest, DisabledManagerRefusesIo) {

@@ -11,9 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/pipeline.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -171,6 +173,64 @@ TEST_F(RunReportTest, BuildRunReportRoundTripsThroughDump) {
   std::string error;
   ASSERT_TRUE(obs::Json::Parse(report.Dump(2), &reparsed, &error)) << error;
   EXPECT_EQ(reparsed.Dump(), report.Dump());
+}
+
+TEST_F(RunReportTest, CheckpointsAreStorePublishes) {
+  // Every checkpoint is one SnapshotStore generation, so the report's
+  // store block counts exactly the checkpoints the run wrote.
+  const sim::SimulationOutput archive = SmallArchive();
+  PipelineConfig config;
+  config.partitions = 4;
+  config.chunks = 4;
+  config.checkpoint.directory = dir_ + "/checkpoints";
+  config.checkpoint.interval_chunks = 1;
+  config.obs.report_path = dir_ + "/report.json";
+  obs::Registry::Global().Reset();
+  const PipelineResult result =
+      RunPipeline(archive.reports, archive.fleet, config);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_EQ(result.coverage.checkpoints_written, 4u);
+
+  const obs::Json report = MustParseFile(config.obs.report_path);
+  EXPECT_EQ(report.Find("checkpoint")->GetUint64("written"),
+            result.coverage.checkpoints_written);
+  if (obs::kEnabled) {
+    EXPECT_EQ(report.Find("store")->GetUint64("publishes"),
+              result.coverage.checkpoints_written);
+  }
+}
+
+TEST_F(RunReportTest, ResumePastDamagedCheckpointCountsOneFallback) {
+  const sim::SimulationOutput archive = SmallArchive();
+  PipelineConfig config;
+  config.partitions = 4;
+  config.chunks = 4;
+  config.checkpoint.directory = dir_ + "/checkpoints";
+  config.checkpoint.interval_chunks = 2;
+  ASSERT_TRUE(RunPipeline(archive.reports, archive.fleet, config).status.ok());
+
+  // Damage the newest checkpoint (cursor 4); the resume falls back to
+  // cursor 2 through the store's one walk, which counts the skip.
+  const std::vector<std::string> snapshots =
+      CheckpointManager(config.checkpoint).ListSnapshots();
+  ASSERT_EQ(snapshots.size(), 2u);
+  {
+    std::ofstream file(snapshots.back(), std::ios::binary | std::ios::trunc);
+    file << "scribbled over by a disk fault";
+  }
+  config.obs.report_path = dir_ + "/report.json";
+  obs::Registry::Global().Reset();
+  const PipelineResult resumed =
+      RunPipeline(archive.reports, archive.fleet, config);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_EQ(resumed.coverage.resume_cursor, 2u);
+
+  const obs::Json report = MustParseFile(config.obs.report_path);
+  EXPECT_TRUE(report.Find("checkpoint")->Find("resumed")->AsBool());
+  EXPECT_EQ(report.Find("checkpoint")->GetUint64("resume_cursor"), 2u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(report.Find("store")->GetUint64("fallbacks"), 1u);
+  }
 }
 
 TEST_F(RunReportTest, WriteRunReportFailsOnUnwritablePath) {

@@ -1,7 +1,7 @@
 // Corpus: raw buffered file output in the persistence layer. Linted
-// twice by pollint_test: under a src/store/ virtual path every raw
-// write below is a banned-call finding; under src/core/ the rule
-// stays silent (other layers may buffer freely).
+// three times by pollint_test: under a src/store/ or src/core/ virtual
+// path every raw write below is a banned-call finding; under src/obs/
+// the rule stays silent (telemetry exports may buffer freely).
 #include <cstdio>
 #include <fstream>
 

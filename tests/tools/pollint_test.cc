@@ -61,8 +61,18 @@ TEST(PollintCorpusTest, StoreRawWriteBannedInStore) {
             expected);
 }
 
+TEST(PollintCorpusTest, StoreRawWriteBannedInCore) {
+  const std::vector<RuleLine> expected = {
+      {"banned-call", 9},
+      {"banned-call", 10},
+      {"banned-call", 11},
+  };
+  EXPECT_EQ(Lint("store_raw_write.cc", "src/core/store_raw_write.cc"),
+            expected);
+}
+
 TEST(PollintCorpusTest, StoreRawWriteAllowedOutsideStore) {
-  EXPECT_TRUE(Lint("store_raw_write.cc", "src/core/store_raw_write.cc").empty());
+  EXPECT_TRUE(Lint("store_raw_write.cc", "src/obs/store_raw_write.cc").empty());
 }
 
 TEST(PollintCorpusTest, StdoutIoInLibraryCode) {

@@ -4,9 +4,9 @@
 # format check for touched files.
 #
 #   tools/run_tier1.sh            # tier-1: configure, build, ctest
-#   tools/run_tier1.sh --asan     # + ASan build of flow/core tests
-#   tools/run_tier1.sh --ubsan    # + UBSan build of flow/core tests
-#   tools/run_tier1.sh --tsan     # + TSan build of flow/core tests
+#   tools/run_tier1.sh --asan     # + ASan build of the tests labelled san
+#   tools/run_tier1.sh --ubsan    # + UBSan build of the tests labelled san
+#   tools/run_tier1.sh --tsan     # + TSan build of the tests labelled san
 #   tools/run_tier1.sh --sanitize # all three sanitizers
 #   tools/run_tier1.sh --faults   # + fail-points build, fault-injection suite
 #   tools/run_tier1.sh --lint     # + pollint over the tree (implies --deps)
@@ -29,39 +29,34 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-# The tests that exercise the thread pool, the stage runner, and the
-# chunked folding path — the ones worth the sanitizer rebuild. The
-# stress tests exist specifically to give TSan interleavings to bite on.
-# The SmallVector, sketch-boundary, merge-property and golden-bytes
-# tests cover the summaries' inline/heap storage, where ASan and UBSan
-# catch overruns and lifetime errors. Every snapshot — sealed or mapped —
-# serves from offset arithmetic over one byte image with CAS-cached lazy
-# decodes, so the snapshot and scan-vs-snapshot property tests run here
-# too (and serving_inventory_test's swap readers decode lazily under
-# TSan).
-SAN_TESTS="threadpool_test|dataset_test|concurrency_stress_test|pipeline_test|pipeline_property_test|pipeline_chunked_test|cleaning_test|extractor_test|inventory_test|serving_inventory_test|serving_resilience_test|window_test|small_vector_test|sketch_boundary_test|merge_property_test|golden_bytes_test|inventory_snapshot_test|inventory_query_property_test"
+# Each pass builds and runs the tests carrying its ctest label (san,
+# faults, store, soak, obs), declared where each test is registered in
+# tests/CMakeLists.txt. Tests are registered at configure time, so a
+# configured build directory can list a label's members before any of
+# them is built.
 
-# The failure-containment suite: these run in every build, but only the
-# faults preset (POL_FAILPOINTS=ON) un-skips the armed kill-and-resume
-# scenarios.
-FAULT_TESTS="failpoint_test|nmea_quarantine_test|checkpoint_test|fault_injection_test|concurrency_stress_test|status_test|serving_resilience_test|snapshot_fuzz_test"
+# Prints the names of the tests labelled $2 in configured build dir $1.
+labelled_tests() {
+  (cd "$1" && ctest -N -L "^$2\$") | sed -n 's/^ *Test *#[0-9]*: *//p'
+}
 
-# The durable snapshot-store suites: container format, generation
-# directory, codec equivalence, format-hostility fuzz, and the
-# cold-start/publish wiring. --store runs them under ASan (mmap'd
-# pointer arithmetic) and the fail-points preset (torn publish, forced
-# open failures), then holds the cold-start bench to its >=10x bar.
-STORE_TESTS="snapshot_format_test|snapshot_store_test|snapshot_codec_test|snapshot_fuzz_test|serving_store_test"
-
-# The serving chaos soak: concurrent readers + faulting refreshes +
-# deadline storms against the ServingGuard. --soak runs it under both
-# the TSan and the fail-points presets (the two builds where it bites).
-SOAK_TESTS="serving_resilience_test|serving_inventory_test"
-
-# The observability suite: the obs unit tests, the report/trace
-# integration test, and the concurrency stress test that hammers the
-# registry. The same set must pass with the layer compiled to no-ops.
-OBS_TESTS="json_test|metrics_test|trace_test|run_report_test|logging_test|concurrency_stress_test|window_test|querylog_test|slo_test|openmetrics_test|serving_telemetry_test"
+# Builds only the tests labelled $2 in configured build dir $1 (the
+# sanitizer rebuilds are slow; the goal is the labelled paths, not the
+# whole binary set), then runs them.
+run_labelled() {
+  local dir="$1" label="$2"
+  local targets
+  targets="$(labelled_tests "$dir" "$label")"
+  if [ -z "$targets" ]; then
+    echo "no tests labelled '$label' in $dir" >&2
+    return 1
+  fi
+  # shellcheck disable=SC2086
+  cmake --build "$dir" -j "$JOBS" --target $targets
+  (cd "$dir" &&
+     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+     ctest --output-on-failure -j "$JOBS" -L "^$label\$")
+}
 
 run_asan=0
 run_ubsan=0
@@ -101,28 +96,15 @@ cmake --build "$ROOT/build" -j "$JOBS"
 
 sanitizer_pass() {
   local preset="$1"
-  echo "== sanitizer pass: $preset (flow + core tests) =="
+  echo "== sanitizer pass: $preset (tests labelled san) =="
   cmake --preset "$preset" -S "$ROOT"
-  # Build only the targeted tests: the sanitizer rebuild is slow and the
-  # goal is the concurrency/memory paths, not the whole binary set.
-  local targets
-  targets="$(echo "$SAN_TESTS" | tr '|' ' ')"
-  # shellcheck disable=SC2086
-  cmake --build "$ROOT/build-$preset" -j "$JOBS" --target $targets
-  (cd "$ROOT/build-$preset" &&
-     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-     ctest --output-on-failure -j "$JOBS" -R "^($SAN_TESTS)\$")
+  run_labelled "$ROOT/build-$preset" san
 }
 
 faults_pass() {
   echo "== faults pass: POL_FAILPOINTS build + fault-injection suite =="
   cmake --preset faults -S "$ROOT"
-  local targets
-  targets="$(echo "$FAULT_TESTS" | tr '|' ' ')"
-  # shellcheck disable=SC2086
-  cmake --build "$ROOT/build-faults" -j "$JOBS" --target $targets
-  (cd "$ROOT/build-faults" &&
-     ctest --output-on-failure -j "$JOBS" -R "^($FAULT_TESTS)\$")
+  run_labelled "$ROOT/build-faults" faults
 }
 
 lint_pass() {
@@ -167,18 +149,12 @@ tidy_pass() {
 
 obs_pass() {
   echo "== obs pass: observability tests, POL_OBS=OFF build, overhead bench =="
-  local targets
-  targets="$(echo "$OBS_TESTS" | tr '|' ' ')"
-  # shellcheck disable=SC2086
-  cmake --build "$ROOT/build" -j "$JOBS" --target $targets \
+  run_labelled "$ROOT/build" obs
+  cmake --build "$ROOT/build" -j "$JOBS" --target \
     bench_obs_overhead bench_serving_telemetry
-  (cd "$ROOT/build" && ctest --output-on-failure -j "$JOBS" -R "^($OBS_TESTS)\$")
   # The layer must compile to no-ops and the same suite must still pass.
   cmake -B "$ROOT/build-noobs" -S "$ROOT" -DPOL_OBS=OFF
-  # shellcheck disable=SC2086
-  cmake --build "$ROOT/build-noobs" -j "$JOBS" --target $targets
-  (cd "$ROOT/build-noobs" &&
-     ctest --output-on-failure -j "$JOBS" -R "^($OBS_TESTS)\$")
+  run_labelled "$ROOT/build-noobs" obs
   # Overhead bar: instrumentation on (idle recorder) within 2% of a
   # trace-recording run; the bench exits non-zero past the threshold.
   "$ROOT/build/bench/bench_obs_overhead"
@@ -190,31 +166,20 @@ obs_pass() {
 
 soak_pass() {
   echo "== soak pass: serving resilience under TSan and fail points =="
-  local targets
-  targets="$(echo "$SOAK_TESTS" | tr '|' ' ')"
   local preset
   for preset in tsan faults; do
     cmake --preset "$preset" -S "$ROOT"
-    # shellcheck disable=SC2086
-    cmake --build "$ROOT/build-$preset" -j "$JOBS" --target $targets
-    (cd "$ROOT/build-$preset" &&
-       TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-       ctest --output-on-failure -j "$JOBS" -R "^($SOAK_TESTS)\$")
+    run_labelled "$ROOT/build-$preset" soak
   done
   echo "soak: clean"
 }
 
 store_pass() {
   echo "== store pass: snapshot-store suites under ASan and fail points =="
-  local targets
-  targets="$(echo "$STORE_TESTS" | tr '|' ' ')"
   local preset
   for preset in asan faults; do
     cmake --preset "$preset" -S "$ROOT"
-    # shellcheck disable=SC2086
-    cmake --build "$ROOT/build-$preset" -j "$JOBS" --target $targets
-    (cd "$ROOT/build-$preset" &&
-       ctest --output-on-failure -j "$JOBS" -R "^($STORE_TESTS)\$")
+    run_labelled "$ROOT/build-$preset" store
   done
   # Cold-start bar: mmap OpenLatest must beat LoadFromFile + Seal by
   # >=10x; the bench exits non-zero below the threshold and writes the
