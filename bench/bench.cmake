@@ -33,7 +33,6 @@ pol_add_bench(bench_adaptive_ablation)
 pol_add_bench(bench_suez_disruption)
 pol_add_bench(bench_checkpoint)
 pol_add_bench(bench_obs_overhead)
-pol_add_bench(bench_serving_guard)
 pol_add_bench(bench_serving_telemetry)
 pol_add_bench(bench_snapshot_store)
 

@@ -1,23 +1,21 @@
 // Checkpoint cost: what snapshotting the incremental InventoryBuilder
 // every K chunks adds to a chunked pipeline run, and what a resume
-// costs. Reported per interval K as human-readable rows plus one
-// machine-readable `BENCH {...}` json line per configuration, and the
-// same rows land in a summary file (default BENCH_checkpoint.json;
-// `--report-out=<path>` overrides, empty disables), so the perf
-// trajectory of the failure-containment layer can be tracked across
-// commits.
+// costs. Reported per interval K as human-readable rows, and the same
+// rows land in the bench summary (bench::Summary: BENCH_checkpoint.json
+// by default), so the perf trajectory of the failure-containment layer
+// can be tracked across commits.
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "core/checkpoint.h"
 #include "core/inventory_builder.h"
 #include "core/pipeline.h"
 #include "obs/json.h"
-#include "obs/report.h"
 #include "sim/fleet.h"
 
 namespace pol {
@@ -52,14 +50,7 @@ uint64_t NewestSnapshotBytes(const core::CheckpointConfig& checkpoint) {
 }
 
 int Run(int argc, char** argv) {
-  std::string summary_path = "BENCH_checkpoint.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--report-out=", 0) == 0) {
-      summary_path = arg.substr(std::string("--report-out=").size());
-    }
-  }
-
+  bench::Summary summary("checkpoint", argc, argv);
   bench::PrintHeader("Checkpoint cost vs interval K (chunked pipeline)");
   const sim::SimulationOutput archive = BenchArchive();
   std::printf("archive: %s records, %d chunks\n\n",
@@ -117,17 +108,6 @@ int Run(int argc, char** argv) {
          std::to_string(restore_s).substr(0, 5) + " s"},
         {4, 10, 14, 9, 9, 9});
 
-    std::printf(
-        "BENCH {\"bench\":\"checkpoint\",\"interval_chunks\":%d,"
-        "\"chunks\":%d,\"records\":%llu,\"snapshots\":%llu,"
-        "\"snapshot_bytes\":%llu,\"wall_s\":%.4f,\"baseline_wall_s\":%.4f,"
-        "\"overhead_frac\":%.4f,\"restore_s\":%.4f}\n",
-        interval, kChunks,
-        static_cast<unsigned long long>(archive.reports.size()),
-        static_cast<unsigned long long>(result.coverage.checkpoints_written),
-        static_cast<unsigned long long>(snapshot_bytes), wall_s, baseline_s,
-        overhead, restore_s);
-
     obs::Json entry = obs::Json::Object();
     entry.Set("interval_chunks", interval);
     entry.Set("snapshots", result.coverage.checkpoints_written);
@@ -139,22 +119,11 @@ int Run(int argc, char** argv) {
   }
   std::filesystem::remove_all(dir);
 
-  if (!summary_path.empty()) {
-    obs::Json summary = obs::Json::Object();
-    summary.Set("schema", "pol.bench_summary/1");
-    summary.Set("bench", "checkpoint");
-    summary.Set("records", static_cast<uint64_t>(archive.reports.size()));
-    summary.Set("chunks", kChunks);
-    summary.Set("baseline_wall_s", baseline_s);
-    summary.Set("results", std::move(results));
-    std::string error;
-    if (!obs::WriteJsonFile(summary_path, summary, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", summary_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  summary.Set("records", static_cast<uint64_t>(archive.reports.size()));
+  summary.Set("chunks", kChunks);
+  summary.Set("baseline_wall_s", baseline_s);
+  summary.Set("results", std::move(results));
+  return summary.Write();
 }
 
 }  // namespace

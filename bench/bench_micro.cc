@@ -2,21 +2,19 @@
 // costs behind the pipeline's throughput — grid indexing, sketch
 // updates, geofence probes, NMEA codec, and end-to-end stage rates.
 //
-// Next to the console table the bench writes a machine-readable
-// summary (default BENCH_micro.json; `--report-out=<path>` overrides,
-// empty disables) so per-operation costs can be tracked across commits
-// the same way the BENCH_* summaries of the macro benches are.
+// Next to the console table the bench writes its bench::Summary
+// (BENCH_micro.json by default) so per-operation costs can be tracked
+// across commits the same way the macro benches' summaries are.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ais/nmea.h"
+#include "bench/bench_util.h"
 #include "obs/json.h"
-#include "obs/report.h"
 #include "common/rng.h"
 #include "geo/geodesic.h"
 #include "core/geofence.h"
@@ -255,17 +253,10 @@ class JsonCollector : public benchmark::ConsoleReporter {
 };
 
 int RunMicro(int argc, char** argv) {
-  // Strip our own flag before handing argv to google-benchmark.
-  std::string summary_path = "BENCH_micro.json";
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--report-out=", 0) == 0) {
-      summary_path = std::string(arg.substr(std::string("--report-out=").size()));
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  // The summary takes its own flag out before argv reaches
+  // google-benchmark.
+  bench::Summary summary("micro", argc, argv);
+  std::vector<char*>& args = summary.args();
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
@@ -274,19 +265,8 @@ int RunMicro(int argc, char** argv) {
   JsonCollector reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!summary_path.empty()) {
-    obs::Json summary = obs::Json::Object();
-    summary.Set("schema", "pol.bench_summary/1");
-    summary.Set("bench", "micro");
-    summary.Set("results", reporter.results());
-    std::string error;
-    if (!obs::WriteJsonFile(summary_path, summary, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", summary_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  summary.Set("results", reporter.results());
+  return summary.Write();
 }
 
 }  // namespace

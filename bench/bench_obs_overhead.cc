@@ -25,7 +25,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/querylog.h"
-#include "obs/report.h"
 #include "obs/window.h"
 #include "sim/fleet.h"
 
@@ -96,14 +95,7 @@ sim::SimulationOutput BenchArchive() {
 }
 
 int Run(int argc, char** argv) {
-  std::string summary_path = "BENCH_obs_overhead.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--report-out=", 0) == 0) {
-      summary_path = arg.substr(std::string("--report-out=").size());
-    }
-  }
-
+  bench::Summary summary("obs_overhead", argc, argv);
   bench::PrintHeader("Observability overhead (chunked pipeline)");
   const sim::SimulationOutput archive = BenchArchive();
   std::printf("archive: %s records, obs compiled %s\n\n",
@@ -169,36 +161,20 @@ int Run(int argc, char** argv) {
   std::printf("  QueryLog::Record           %6.1f ns/op\n",
               micros.query_log_ns);
 
-  std::printf(
-      "BENCH {\"bench\":\"obs_overhead\",\"records\":%llu,\"rounds\":%d,"
-      "\"obs_enabled\":%s,\"idle_s\":%.4f,\"traced_s\":%.4f,"
-      "\"overhead_frac\":%.4f}\n",
-      static_cast<unsigned long long>(archive.reports.size()), kRounds,
-      obs::kEnabled ? "true" : "false", idle_s, traced_s, overhead);
-
-  if (!summary_path.empty()) {
-    obs::Json summary = obs::Json::Object();
-    summary.Set("schema", "pol.bench_summary/1");
-    summary.Set("bench", "obs_overhead");
-    summary.Set("records", static_cast<uint64_t>(archive.reports.size()));
-    summary.Set("rounds", kRounds);
-    summary.Set("obs_enabled", obs::kEnabled);
-    summary.Set("idle_s", idle_s);
-    summary.Set("traced_s", traced_s);
-    summary.Set("overhead_frac", overhead);
-    summary.Set("max_overhead_frac", kMaxOverhead);
-    obs::Json windowed = obs::Json::Object();
-    windowed.Set("histogram_ns", micros.histogram_ns);
-    windowed.Set("windowed_histogram_ns", micros.windowed_histogram_ns);
-    windowed.Set("windowed_rate_ns", micros.windowed_rate_ns);
-    windowed.Set("query_log_ns", micros.query_log_ns);
-    summary.Set("windowed_record_ns", std::move(windowed));
-    std::string error;
-    if (!obs::WriteJsonFile(summary_path, summary, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", summary_path.c_str(),
-                   error.c_str());
-    }
-  }
+  summary.Set("records", static_cast<uint64_t>(archive.reports.size()));
+  summary.Set("rounds", kRounds);
+  summary.Set("obs_enabled", obs::kEnabled);
+  summary.Set("idle_s", idle_s);
+  summary.Set("traced_s", traced_s);
+  summary.Set("overhead_frac", overhead);
+  summary.Set("max_overhead_frac", kMaxOverhead);
+  obs::Json windowed = obs::Json::Object();
+  windowed.Set("histogram_ns", micros.histogram_ns);
+  windowed.Set("windowed_histogram_ns", micros.windowed_histogram_ns);
+  windowed.Set("windowed_rate_ns", micros.windowed_rate_ns);
+  windowed.Set("query_log_ns", micros.query_log_ns);
+  summary.Set("windowed_record_ns", std::move(windowed));
+  const int written = summary.Write();
 
   std::filesystem::remove_all(out_dir);
   if (overhead > kMaxOverhead) {
@@ -206,7 +182,7 @@ int Run(int argc, char** argv) {
                  overhead * 100.0, kMaxOverhead * 100.0);
     return 1;
   }
-  return 0;
+  return written;
 }
 
 }  // namespace

@@ -11,14 +11,14 @@
 // cells per (origin, destination, segment) key through the legacy
 // full-scan reference path and through the seal-time secondary index.
 //
-// `--report-out=<path>` writes the measured numbers as a
-// pol.bench_summary/1 JSON file (default BENCH_query.json).
+// The measured numbers land in the bench summary (bench::Summary:
+// BENCH_query_speedup.json by default).
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -27,7 +27,6 @@
 #include "core/pipeline.h"
 #include "hexgrid/hexgrid.h"
 #include "obs/json.h"
-#include "obs/report.h"
 #include "stats/welford.h"
 
 namespace pol {
@@ -65,15 +64,7 @@ core::Inventory SyntheticRouteInventory(int routes, int cells_per_route,
 }
 
 int Run(int argc, char** argv) {
-  std::string summary_path = "BENCH_query.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--report-out=", 0) == 0) {
-      summary_path =
-          std::string(arg.substr(std::string("--report-out=").size()));
-    }
-  }
-
+  bench::Summary summary("query_speedup", argc, argv);
   bench::PrintHeader("Query cost: inventory lookup vs full scan");
   sim::FleetConfig config = bench::GlobalYearConfig();
   config.noncommercial_vessels = 0;
@@ -226,34 +217,24 @@ int Run(int argc, char** argv) {
   (void)scan_cells;
   (void)indexed_cells;
 
-  if (!summary_path.empty()) {
-    obs::Json summary = obs::Json::Object();
-    summary.Set("schema", "pol.bench_summary/1");
-    summary.Set("bench", "query_speedup");
-    obs::Json location = obs::Json::Object();
-    location.Set("archive_rows", static_cast<int64_t>(archive_rows));
-    location.Set("scan_s_per_query", scan_per_query_s);
-    location.Set("snapshot_s_per_query", lookup_per_query_s);
-    location.Set("fewer_hits_fraction", fewer_hits);
-    location.Set("pass", hits_pass);
-    summary.Set("location_query", std::move(location));
-    obs::Json route = obs::Json::Object();
-    route.Set("route_summaries", static_cast<int64_t>(route_summaries));
-    route.Set("routes", static_cast<int64_t>(route_keys.size()));
-    route.Set("scan_s_per_query", route_scan_per_query_s);
-    route.Set("indexed_s_per_query", route_index_per_query_s);
-    route.Set("speedup", route_speedup);
-    route.Set("pass", route_pass);
-    summary.Set("route_query", std::move(route));
-    std::string error;
-    if (!obs::WriteJsonFile(summary_path, summary, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", summary_path.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    std::printf("\nreport written to %s\n", summary_path.c_str());
-  }
-  return (hits_pass && route_pass) ? 0 : 1;
+  obs::Json location = obs::Json::Object();
+  location.Set("archive_rows", static_cast<int64_t>(archive_rows));
+  location.Set("scan_s_per_query", scan_per_query_s);
+  location.Set("snapshot_s_per_query", lookup_per_query_s);
+  location.Set("fewer_hits_fraction", fewer_hits);
+  location.Set("pass", hits_pass);
+  summary.Set("location_query", std::move(location));
+  obs::Json route = obs::Json::Object();
+  route.Set("route_summaries", static_cast<int64_t>(route_summaries));
+  route.Set("routes", static_cast<int64_t>(route_keys.size()));
+  route.Set("scan_s_per_query", route_scan_per_query_s);
+  route.Set("indexed_s_per_query", route_index_per_query_s);
+  route.Set("speedup", route_speedup);
+  route.Set("pass", route_pass);
+  summary.Set("route_query", std::move(route));
+  const int written = summary.Write();
+  if (!hits_pass || !route_pass) return 1;
+  return written;
 }
 
 }  // namespace

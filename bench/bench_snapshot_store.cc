@@ -12,15 +12,10 @@
 // Every restored snapshot answers the same probe battery (corridor
 // fetch + point lookups) and the checksums must agree, so the timed
 // paths are proven to serve identical data. The acceptance bar is
-// mmap cold start at least kMinSpeedup x faster than load+seal,
-// estimated as the ratio of per-path minimum round times (min over
-// interleaved rounds converges to the true cost; ambient load only
-// ever adds time). The verdict is sequential: a pass ending under the
-// bar runs another block of rounds into the same minima (up to three
-// blocks) before failing. Exits non-zero below the bar so
-// tools/run_tier1.sh --store can gate on it.
+// mmap cold start at least kMinSpeedup x faster than load+seal, a
+// min-round ratio from bench::CompareInterleaved. Exits non-zero below
+// the bar so tools/run_tier1.sh --store can gate on it.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -35,8 +30,6 @@
 #include "core/inventory_snapshot.h"
 #include "core/snapshot_codec.h"
 #include "hexgrid/hexgrid.h"
-#include "obs/json.h"
-#include "obs/report.h"
 #include "store/snapshot_store.h"
 
 namespace pol {
@@ -46,41 +39,6 @@ constexpr int kRounds = 9;
 constexpr double kMinSpeedup = 10.0;
 constexpr int kGenerations = 96;
 constexpr int kCellsPerGeneration = 64;
-
-constexpr sim::PortId kOrigin = 3;
-constexpr sim::PortId kDestination = 21;
-constexpr auto kSegment = ais::MarketSegment::kContainer;
-
-// Same corridor shape as bench_serving_telemetry, scaled up: the cost
-// being amortized is per-summary parse + sort work, so size matters.
-core::Inventory BuildInventory() {
-  core::SummaryMap summaries;
-  for (int g = 0; g < kGenerations; ++g) {
-    for (int i = 0; i < kCellsPerGeneration; ++i) {
-      const hex::CellIndex cell =
-          hex::LatLngToCell({1.0 + 0.2 * g, 100.0 + 0.4 * i}, 6);
-      core::PipelineRecord r;
-      r.mmsi = 215000001;
-      r.trip_id = static_cast<uint64_t>(g * 1000 + i);
-      r.origin = kOrigin;
-      r.destination = kDestination;
-      r.segment = kSegment;
-      r.sog_knots = 13;
-      r.cog_deg = 90;
-      r.heading_deg = 90;
-      r.eto_s = 3600;
-      r.ata_s = 7200;
-      for (const core::GroupKey& key :
-           {core::KeyCell(cell), core::KeyCellType(cell, kSegment),
-            core::KeyCellRouteType(cell, kOrigin, kDestination, kSegment)}) {
-        auto [it, inserted] = summaries.try_emplace(key);
-        (void)inserted;
-        it->second.Add(r);
-      }
-    }
-  }
-  return core::Inventory(6, std::move(summaries));
-}
 
 // Time-to-first-query probe: the corridor fetch plus a sample of point
 // lookups. Runs against each freshly restored snapshot inside the
@@ -92,7 +50,8 @@ uint64_t Probe(const core::InventoryQuery& q) {
   constexpr size_t kSampledLookups = 64;
   uint64_t checksum = q.DistinctCells();
   const std::vector<hex::CellIndex> corridor =
-      q.CellsForRoute(kOrigin, kDestination, kSegment);
+      q.CellsForRoute(bench::kCorridorOrigin, bench::kCorridorDestination,
+                      bench::kCorridorSegment);
   checksum += corridor.size();
   const size_t stride = corridor.size() / kSampledLookups + 1;
   for (size_t i = 0; i < corridor.size(); i += stride) {
@@ -109,7 +68,8 @@ uint64_t Probe(const core::InventoryQuery& q) {
 uint64_t FullChecksum(const core::InventoryQuery& q) {
   uint64_t checksum = q.DistinctCells();
   const std::vector<hex::CellIndex> corridor =
-      q.CellsForRoute(kOrigin, kDestination, kSegment);
+      q.CellsForRoute(bench::kCorridorOrigin, bench::kCorridorDestination,
+                      bench::kCorridorSegment);
   checksum += corridor.size();
   for (const hex::CellIndex cell : corridor) {
     const core::CellSummary* s = q.Cell(cell);
@@ -120,14 +80,7 @@ uint64_t FullChecksum(const core::InventoryQuery& q) {
 }
 
 int Run(int argc, char** argv) {
-  std::string summary_path = "BENCH_snapshot_store.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--report-out=", 0) == 0) {
-      summary_path = arg.substr(std::string("--report-out=").size());
-    }
-  }
-
+  bench::Summary summary("snapshot_store", argc, argv);
   bench::PrintHeader("Snapshot-store cold start (mmap vs load+seal)");
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pol_bench_snapshot_store")
@@ -136,7 +89,10 @@ int Run(int argc, char** argv) {
   std::filesystem::create_directories(dir);
   const std::string legacy_path = dir + "/inventory.bin";
 
-  const core::Inventory inventory = BuildInventory();
+  // The serving benches' corridor, scaled up: the cost being amortized
+  // is per-summary parse + sort work, so size matters.
+  const core::Inventory inventory =
+      bench::CorridorInventory(kGenerations, kCellsPerGeneration);
   const Status saved = inventory.SaveToFile(legacy_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "FAIL: SaveToFile: %s\n", saved.message().c_str());
@@ -162,24 +118,22 @@ int Run(int argc, char** argv) {
                   .c_str(),
               bench::FormatBytes(store_bytes).c_str());
 
+  // A restore that errors or answers differently from the sealed
+  // snapshot fails the bench.
   const uint64_t expected = Probe(*sealed);
   bool failed = false;
+  auto served = [&](uint64_t probe) {
+    if (probe != expected) failed = true;
+    return probe;
+  };
   auto load_seal_round = [&]() -> uint64_t {
     Result<core::Inventory> loaded = core::Inventory::LoadFromFile(legacy_path);
-    if (!loaded.ok()) {
-      failed = true;
-      return 0;
-    }
-    return Probe(*loaded->Seal());
+    return served(loaded.ok() ? Probe(*loaded->Seal()) : 0);
   };
   auto mmap_round = [&]() -> uint64_t {
     const Result<std::shared_ptr<const core::InventorySnapshot>> mapped =
         core::OpenLatestSnapshot(snapshot_store);
-    if (!mapped.ok()) {
-      failed = true;
-      return 0;
-    }
-    return Probe(**mapped);
+    return served(mapped.ok() ? Probe(**mapped) : 0);
   };
 
   // Untimed full-table equality: both restore paths must serve exactly
@@ -199,87 +153,44 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // Untimed warmup (page cache, allocator), then interleaved rounds.
-  uint64_t checksum = load_seal_round() + mmap_round();
-  double load_seal_s = 1e300;
-  double mmap_s = 1e300;
-  double speedup = 0.0;
-  bool diverged = false;
-  auto measure = [&] {
-    for (int round = 0; round < kRounds; ++round) {
-      uint64_t load_seal_probe = 0;
-      uint64_t mmap_probe = 0;
-      const double load_round =
-          bench::TimeSeconds([&] { load_seal_probe = load_seal_round(); });
-      const double map_round =
-          bench::TimeSeconds([&] { mmap_probe = mmap_round(); });
-      if (failed) return;
-      if (load_seal_probe != expected || mmap_probe != expected) {
-        diverged = true;
-        return;
-      }
-      checksum += load_seal_probe + mmap_probe;
-      load_seal_s = std::min(load_seal_s, load_round);
-      mmap_s = std::min(mmap_s, map_round);
-    }
-    speedup = load_seal_s / mmap_s;
-  };
-  for (int block = 0; block < 3; ++block) {
-    measure();
-    if (failed || diverged || speedup >= kMinSpeedup) break;
-    std::printf("speedup %.1fx under the bar after block %d; extending\n",
-                speedup, block + 1);
-  }
+  enum : size_t { kLoadSeal, kMmap };
+  const bench::Comparison result = bench::CompareInterleaved(
+      {{"load+seal", load_seal_round}, {"mmap", mmap_round}},
+      {{kMmap, kLoadSeal, 1.0 / kMinSpeedup}}, kRounds, /*slices=*/1);
   std::filesystem::remove_all(dir);
-  if (failed) {
-    std::fprintf(stderr, "FAIL: a cold-start path returned an error\n");
-    return 1;
-  }
-  if (diverged) {
+  if (failed || result.diverged) {
     std::fprintf(stderr,
-                 "FAIL: restored snapshots disagree with the sealed one\n");
+                 "FAIL: a cold-start path errored or disagrees with the "
+                 "sealed snapshot\n");
     return 1;
   }
 
-  std::printf("load+seal (parse + rebuild + sort): %.4f s (min of %d)\n",
-              load_seal_s, kRounds);
-  std::printf("mmap      (map + CRC + lazy serve): %.4f s (min of %d)\n",
-              mmap_s, kRounds);
+  const double load_seal_s = result.min_s[kLoadSeal];
+  const double mmap_s = result.min_s[kMmap];
+  const double speedup = load_seal_s / mmap_s;
+  std::printf("load+seal (parse + rebuild + sort): %.4f s (min of %d x %d)\n",
+              load_seal_s, kRounds, result.blocks);
+  std::printf("mmap      (map + CRC + lazy serve): %.4f s (min of %d x %d)\n",
+              mmap_s, kRounds, result.blocks);
   std::printf("cold-start speedup:                 %.1fx (bar: %.0fx)\n",
               speedup, kMinSpeedup);
 
-  std::printf(
-      "BENCH {\"bench\":\"snapshot_store\",\"summaries\":%llu,"
-      "\"file_bytes\":%llu,\"rounds\":%d,\"load_seal_s\":%.4f,"
-      "\"mmap_s\":%.4f,\"speedup\":%.1f,\"checksum\":%llu}\n",
-      static_cast<unsigned long long>(inventory.size()),
-      static_cast<unsigned long long>(store_bytes), kRounds, load_seal_s,
-      mmap_s, speedup, static_cast<unsigned long long>(checksum));
+  summary.Set("summaries", static_cast<uint64_t>(inventory.size()));
+  summary.Set("file_bytes", store_bytes);
+  summary.Set("rounds", kRounds);
+  summary.Set("blocks", result.blocks);
+  summary.Set("load_seal_s", load_seal_s);
+  summary.Set("mmap_s", mmap_s);
+  summary.Set("speedup", speedup);
+  summary.Set("min_speedup", kMinSpeedup);
+  const int written = summary.Write();
 
-  if (!summary_path.empty()) {
-    obs::Json summary = obs::Json::Object();
-    summary.Set("schema", "pol.bench_summary/1");
-    summary.Set("bench", "snapshot_store");
-    summary.Set("summaries", static_cast<uint64_t>(inventory.size()));
-    summary.Set("file_bytes", store_bytes);
-    summary.Set("rounds", kRounds);
-    summary.Set("load_seal_s", load_seal_s);
-    summary.Set("mmap_s", mmap_s);
-    summary.Set("speedup", speedup);
-    summary.Set("min_speedup", kMinSpeedup);
-    std::string error;
-    if (!obs::WriteJsonFile(summary_path, summary, &error)) {
-      std::fprintf(stderr, "cannot write %s: %s\n", summary_path.c_str(),
-                   error.c_str());
-    }
-  }
-
-  if (speedup < kMinSpeedup) {
+  if (!result.met) {
     std::fprintf(stderr, "FAIL: cold-start speedup %.1fx below %.0fx bar\n",
                  speedup, kMinSpeedup);
     return 1;
   }
-  return 0;
+  return written;
 }
 
 }  // namespace

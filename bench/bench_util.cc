@@ -1,9 +1,13 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "hexgrid/hexgrid.h"
+#include "obs/report.h"
 
 namespace pol::bench {
 
@@ -38,11 +42,132 @@ std::vector<sim::Port> PortsInBox(double lat_min, double lat_max,
   return selected;
 }
 
+core::Inventory CorridorInventory(int generations, int cells) {
+  core::SummaryMap summaries;
+  for (int g = 0; g < generations; ++g) {
+    for (int i = 0; i < cells; ++i) {
+      const hex::CellIndex cell =
+          hex::LatLngToCell({1.0 + 0.2 * g, 100.0 + 0.4 * i}, 6);
+      core::PipelineRecord r;
+      r.mmsi = 215000001;
+      r.trip_id = static_cast<uint64_t>(g * 1000 + i);
+      r.origin = kCorridorOrigin;
+      r.destination = kCorridorDestination;
+      r.segment = kCorridorSegment;
+      r.sog_knots = 13;
+      r.cog_deg = 90;
+      r.heading_deg = 90;
+      r.eto_s = 3600;
+      r.ata_s = 7200;
+      for (const core::GroupKey& key :
+           {core::KeyCell(cell), core::KeyCellType(cell, kCorridorSegment),
+            core::KeyCellRouteType(cell, kCorridorOrigin,
+                                   kCorridorDestination, kCorridorSegment)}) {
+        summaries[key].Add(r);
+      }
+    }
+  }
+  return core::Inventory(6, std::move(summaries));
+}
+
 double TimeSeconds(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
+}
+
+Summary::Summary(std::string_view bench, int argc, char** argv)
+    : path_("BENCH_" + std::string(bench) + ".json") {
+  constexpr std::string_view kFlag = "--report-out=";
+  json_.Set("schema", "pol.bench_summary/1");
+  json_.Set("bench", bench);
+  for (int i = 0; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (i > 0 && arg.substr(0, kFlag.size()) == kFlag) {
+      path_ = std::string(arg.substr(kFlag.size()));
+    } else {
+      args_.push_back(argv[i]);
+    }
+  }
+}
+
+int Summary::Write() const {
+  std::printf("BENCH %s\n", json_.Dump().c_str());
+  std::fflush(stdout);
+  if (path_.empty()) return 0;
+  std::string error;
+  if (!obs::WriteJsonFile(path_, json_, &error)) {
+    std::fprintf(stderr, "FAIL: cannot write %s: %s\n", path_.c_str(),
+                 error.c_str());
+    return 1;
+  }
+  return 0;
+}
+
+Comparison CompareInterleaved(const std::vector<Shape>& shapes,
+                              const std::vector<Bar>& bars, int rounds,
+                              int slices, const SliceTimer& timer) {
+  Comparison out;
+  out.min_s.assign(shapes.size(), 1e300);
+  out.ratios.assign(bars.size(), 1e300);
+  for (int i = 0; i < slices; ++i) {
+    for (const Shape& shape : shapes) shape.slice();  // Untimed warmup.
+  }
+  std::vector<uint64_t> checksums(shapes.size());
+  std::vector<double> slice_s(shapes.size());
+  std::vector<double> round_s(shapes.size());
+  std::vector<std::vector<double>> paired(bars.size());
+  size_t first = 0;  // Shape that opens the next slice; rotates.
+  while (out.blocks < kMaxBlocks) {
+    ++out.blocks;
+    for (int round = 0; round < rounds; ++round) {
+      std::fill(round_s.begin(), round_s.end(), 0.0);
+      for (int i = 0; i < slices; ++i) {
+        for (size_t k = 0; k < shapes.size(); ++k) {
+          const size_t s = (first + k) % shapes.size();
+          const std::function<void()> run = [&] {
+            checksums[s] = shapes[s].slice();
+          };
+          slice_s[s] = timer ? timer(s, run) : TimeSeconds(run);
+          round_s[s] += slice_s[s];
+        }
+        first = (first + 1) % shapes.size();
+        if (std::adjacent_find(checksums.begin(), checksums.end(),
+                               std::not_equal_to<>()) != checksums.end()) {
+          out.diverged = true;
+          return out;
+        }
+        for (size_t b = 0; b < bars.size(); ++b) {
+          paired[b].push_back(slice_s[bars[b].shape] /
+                              slice_s[bars[b].baseline]);
+        }
+      }
+      for (size_t s = 0; s < shapes.size(); ++s) {
+        out.min_s[s] = std::min(out.min_s[s], round_s[s]);
+      }
+    }
+    out.met = true;
+    for (size_t b = 0; b < bars.size(); ++b) {
+      const Bar& bar = bars[b];
+      if (bar.estimator == Estimator::kMinRound) {
+        out.ratios[b] = out.min_s[bar.shape] / out.min_s[bar.baseline];
+      } else {
+        std::vector<double>& pairs = paired[b];
+        std::nth_element(pairs.begin(), pairs.begin() + pairs.size() / 2,
+                         pairs.end());
+        out.ratios[b] = pairs[pairs.size() / 2];
+      }
+      if (out.ratios[b] <= bar.max_ratio) continue;
+      out.met = false;
+      std::printf("%s/%s at %.4f, over the %.4f bar after block %d\n",
+                  shapes[bar.shape].name.c_str(),
+                  shapes[bar.baseline].name.c_str(), out.ratios[b],
+                  bar.max_ratio, out.blocks);
+    }
+    if (out.met) break;
+  }
+  return out;
 }
 
 void PrintHeader(const std::string& title) {

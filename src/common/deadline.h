@@ -12,7 +12,7 @@
 // into closures freely; an infinite deadline never expires, and
 // Expired() short-circuits before the clock read for it, so unbounded
 // callers pay one predictable branch rather than a clock_gettime on
-// every poll (bench_serving_guard's 2% bar counts on this).
+// every poll (bench_serving_telemetry's 2% guard bar counts on this).
 //
 // Long scans check cooperatively: the serving guard
 // (core/serving_guard.h) polls Expired() every few hundred summaries

@@ -171,6 +171,31 @@ void SerializeSummaryRecords(const SummaryMap& summaries, std::string* out) {
   }
 }
 
+Status DeserializeSummaryRecords(std::string_view* input, uint64_t count,
+                                 SummaryMap* out) {
+  // Every record takes at least three bytes, so a garbage count cannot
+  // reserve more than the input could hold.
+  out->reserve(out->size() + std::min<uint64_t>(count, input->size() / 3));
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t cell = 0;
+    uint64_t dims = 0;
+    POL_RETURN_IF_ERROR(GetVarint64(input, &cell));
+    POL_RETURN_IF_ERROR(GetVarint64(input, &dims));
+    std::string_view summary_bytes;
+    POL_RETURN_IF_ERROR(GetLengthPrefixed(input, &summary_bytes));
+    CellSummary summary;
+    POL_RETURN_IF_ERROR(summary.Deserialize(&summary_bytes));
+    if (!summary_bytes.empty()) {
+      return Status::Corruption("trailing bytes in summary");
+    }
+    if (!out->emplace(GroupKeyFromPacked(cell, dims), std::move(summary))
+             .second) {
+      return Status::Corruption("repeated summary key");
+    }
+  }
+  return Status::OK();
+}
+
 void Inventory::SerializeTo(std::string* out) const {
   out->append(kMagic, kMagicLen);
   // The body is written in place and its size prefix inserted in front
@@ -222,22 +247,7 @@ Result<Inventory> Inventory::DeserializeFrom(std::string_view input) {
     return Status::Corruption("bad inventory resolution");
   }
   SummaryMap summaries;
-  summaries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t cell = 0;
-    uint64_t dims = 0;
-    POL_RETURN_IF_ERROR(GetVarint64(&body, &cell));
-    POL_RETURN_IF_ERROR(GetVarint64(&body, &dims));
-    const GroupKey key = GroupKeyFromPacked(cell, dims);
-    std::string_view summary_bytes;
-    POL_RETURN_IF_ERROR(GetLengthPrefixed(&body, &summary_bytes));
-    CellSummary summary;
-    POL_RETURN_IF_ERROR(summary.Deserialize(&summary_bytes));
-    if (!summary_bytes.empty()) {
-      return Status::Corruption("trailing bytes in summary");
-    }
-    summaries.emplace(key, std::move(summary));
-  }
+  POL_RETURN_IF_ERROR(DeserializeSummaryRecords(&body, count, &summaries));
   return Inventory(static_cast<int>(resolution), std::move(summaries));
 }
 

@@ -45,6 +45,12 @@ struct CompressionReport {
 // of POLINV01 and of builder checkpoints.
 void SerializeSummaryRecords(const SummaryMap& summaries, std::string* out);
 
+// Decodes `count` records written by SerializeSummaryRecords from the
+// front of *input into *out, consuming them. A record whose key is
+// already in *out is Corruption: a repeated key has no single answer.
+Status DeserializeSummaryRecords(std::string_view* input, uint64_t count,
+                                 SummaryMap* out);
+
 class Inventory final : public InventoryQuery {
  public:
   Inventory(int resolution, SummaryMap summaries);

@@ -105,27 +105,7 @@ Status InventoryBuilder::RestoreState(std::string_view input) {
         "checkpoint resolution does not match builder config");
   }
   SummaryMap summaries;
-  summaries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t cell = 0;
-    uint64_t dims = 0;
-    POL_RETURN_IF_ERROR(GetVarint64(&input, &cell));
-    POL_RETURN_IF_ERROR(GetVarint64(&input, &dims));
-    GroupKey key;
-    key.cell = cell;
-    key.grouping_set = static_cast<uint8_t>(dims & 0xff);
-    key.segment = static_cast<uint8_t>((dims >> 8) & 0xff);
-    key.origin = static_cast<uint16_t>((dims >> 16) & 0xffff);
-    key.destination = static_cast<uint16_t>((dims >> 32) & 0xffff);
-    std::string_view summary_bytes;
-    POL_RETURN_IF_ERROR(GetLengthPrefixed(&input, &summary_bytes));
-    CellSummary summary;
-    POL_RETURN_IF_ERROR(summary.Deserialize(&summary_bytes));
-    if (!summary_bytes.empty()) {
-      return Status::Corruption("trailing bytes in summary");
-    }
-    summaries.emplace(key, std::move(summary));
-  }
+  POL_RETURN_IF_ERROR(DeserializeSummaryRecords(&input, count, &summaries));
   if (!input.empty()) {
     return Status::Corruption("trailing bytes in builder state");
   }

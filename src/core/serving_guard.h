@@ -69,9 +69,9 @@
 //   serving.snapshot_age_refreshes (gauge)
 //
 // The guard is a wrapper, not a store: it owns no snapshot and adds no
-// state to the read path beyond the admission slots, so bench
-// bench_serving_guard holds it to <2% overhead on the Acquire +
-// point-lookup hot path.
+// state to the read path beyond the admission slots, so
+// bench_serving_telemetry holds it (telemetry off) to <2% overhead on
+// the Acquire + point-lookup hot path.
 //
 // Query-level telemetry (DESIGN.md §3.8): unless disabled through
 // ServingGuardOptions::telemetry, every guarded call additionally

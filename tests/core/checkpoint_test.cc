@@ -569,6 +569,31 @@ TEST_F(CheckpointTest, RestoreRejectsResolutionMismatch) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(CheckpointTest, RestoreRejectsRepeatedSummaryKey) {
+  // Builder state whose summary records repeat one key: the shared
+  // record decoder refuses it instead of keeping the first summary.
+  const GroupKey key = KeyCell(hex::LatLngToCell({1.3, 103.8}, 6));
+  std::string summary_bytes;
+  CellSummary().Serialize(&summary_bytes);
+  std::string state;
+  PutVarint64(&state, 6);  // Resolution.
+  PutVarint64(&state, 0);  // Records folded.
+  PutVarint64(&state, 0);  // Chunks.
+  PutVarint64(&state, 0);  // Records in.
+  PutVarint64(&state, 0);  // Peak partition.
+  PutDouble(&state, 0.0);  // Wall seconds.
+  PutVarint64(&state, 2);  // Summary count.
+  for (int copy = 0; copy < 2; ++copy) {
+    PutVarint64(&state, key.cell);
+    PutVarint64(&state, GroupKeyDimsPacked(key));
+    PutLengthPrefixed(&state, summary_bytes);
+  }
+  ExtractorConfig config;
+  config.resolution = 6;
+  InventoryBuilder builder(config);
+  EXPECT_EQ(builder.RestoreState(state).code(), StatusCode::kCorruption);
+}
+
 TEST_F(CheckpointTest, RestoreRejectsGarbage) {
   ExtractorConfig config;
   InventoryBuilder builder(config);

@@ -173,8 +173,9 @@ TEST_F(FaultInjectionTest, ResumeRefusesMismatchedChunkCount) {
 // --- Armed fail points below; skipped unless compiled in. ---
 
 // Kills a fail_fast run by arming `point` with `spec`, then disarms and
-// reruns over the same snapshot directory: the resumed run must succeed
-// and reproduce the uninterrupted inventory byte for byte.
+// reruns over the same snapshot directory: only the cursor-2 checkpoint
+// survives the kill, and the run resumed from it must succeed and
+// reproduce the uninterrupted inventory byte for byte.
 void KillAndResume(const std::string& directory, const std::string& point,
                    const FailPointSpec& spec) {
   SCOPED_TRACE(point);
@@ -188,15 +189,18 @@ void KillAndResume(const std::string& directory, const std::string& point,
       RunPipeline(Archive().reports, Archive().fleet, killed_config);
   registry.Reset();
   ASSERT_FALSE(killed.status.ok()) << "fail point never fired";
-  ASSERT_GT(CheckpointManager(killed_config.checkpoint).ListSnapshots().size(),
-            0u)
-      << "no snapshot survived the kill";
+  const CheckpointManager survivors(killed_config.checkpoint);
+  ASSERT_EQ(survivors.ListSnapshots().size(), 1u)
+      << "exactly the cursor-2 snapshot must survive the kill";
+  const Result<CheckpointState> survivor = survivors.LoadLatest();
+  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+  EXPECT_EQ(survivor->cursor, 2u);
 
   const PipelineResult resumed = RunPipeline(
       Archive().reports, Archive().fleet, BaseConfig(directory));
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
   EXPECT_TRUE(resumed.coverage.resumed);
-  EXPECT_GT(resumed.coverage.resume_cursor, 0u);
+  EXPECT_EQ(resumed.coverage.resume_cursor, 2u);
   EXPECT_EQ(resumed.coverage.chunks_folded, static_cast<size_t>(kChunks));
   EXPECT_EQ(resumed.coverage.chunks_quarantined, 0u);
   EXPECT_EQ(InventoryBytes(resumed), ReferenceBytes());
@@ -239,10 +243,12 @@ TEST_F(FaultInjectionTest, KilledAndResumedRunSurvivesDurableWriteFault) {
   if (!kFailPointsEnabled) {
     GTEST_SKIP() << "fail points compiled out; use the faults preset";
   }
-  // Checkpoints publish through the store's durable writer: its write
-  // fault fails the cursor-4 snapshot, and the cursor-2 one resumes.
+  // Checkpoints publish through the store's durable writer, and each
+  // Publish writes twice: the generation, then the MANIFEST. Hits 0 and
+  // 1 are the cursor-2 pair, so hit 2 fails the cursor-4 generation and
+  // the cursor-2 one resumes.
   FailPointSpec spec;
-  spec.fire_from = 1;
+  spec.fire_from = 2;
   spec.code = StatusCode::kIoError;
   KillAndResume(directory_, "store.write", spec);
 }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "hexgrid/hexgrid.h"
 
 namespace pol::core {
@@ -189,6 +192,40 @@ TEST(InventoryTest, CorruptionIsDetected) {
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
   EXPECT_FALSE(Inventory::DeserializeFrom(bad_magic).ok());
+}
+
+TEST(InventoryTest, RepeatedKeyInCrcValidBodyIsCorruption) {
+  // A hand-framed POLINV01 file whose body carries the same key twice
+  // with different summaries. The CRC is right, so only the record
+  // decoder can refuse it; keeping either summary would be a silently
+  // different answer.
+  const hex::CellIndex cell = hex::LatLngToCell({1.3, 103.8}, 6);
+  const GroupKey key = KeyCell(cell);
+  std::string body;
+  PutVarint64(&body, 6);  // Resolution.
+  PutVarint64(&body, 2);  // Record count.
+  for (int records : {1, 2}) {
+    CellSummary summary;
+    for (int i = 0; i < records; ++i) {
+      summary.Add(SampleRecord(215000001, 1, 10, 22,
+                               ais::MarketSegment::kTanker));
+    }
+    std::string summary_bytes;
+    summary.Serialize(&summary_bytes);
+    PutVarint64(&body, key.cell);
+    PutVarint64(&body, GroupKeyDimsPacked(key));
+    PutLengthPrefixed(&body, summary_bytes);
+  }
+  std::string file = "POLINV01";
+  PutVarint64(&file, body.size());
+  file += body;
+  const uint32_t crc = Crc32(body);
+  for (int shift = 0; shift < 32; shift += 8) {
+    file.push_back(static_cast<char>((crc >> shift) & 0xff));
+  }
+  const auto restored = Inventory::DeserializeFrom(file);
+  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+      << restored.status().ToString();
 }
 
 TEST(InventoryTest, FileRoundTrip) {

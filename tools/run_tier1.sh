@@ -14,7 +14,7 @@
 #   tools/run_tier1.sh --analyze  # + Clang -Wthread-safety build (needs clang++)
 #   tools/run_tier1.sh --tidy     # + clang-tidy over src/ (needs clang-tidy)
 #   tools/run_tier1.sh --format   # + clang-format check of touched files
-#   tools/run_tier1.sh --obs      # + obs tests, POL_OBS=OFF build, overhead bench
+#   tools/run_tier1.sh --obs      # + obs tests, POL_OBS=OFF build, overhead benches
 #   tools/run_tier1.sh --soak     # + serving chaos soak under TSan and fail points
 #   tools/run_tier1.sh --store    # + snapshot-store suites (ASan + fail points),
 #                                 #   cold-start bench vs LoadFromFile+Seal
@@ -157,10 +157,16 @@ obs_pass() {
   run_labelled "$ROOT/build-noobs" obs
   # Overhead bar: instrumentation on (idle recorder) within 2% of a
   # trace-recording run; the bench exits non-zero past the threshold.
-  "$ROOT/build/bench/bench_obs_overhead"
-  # Same bar for the query-path telemetry: windowed histograms, the
-  # query log, and SLO gauges must stay under 2% on the read path.
-  "$ROOT/build/bench/bench_serving_telemetry"
+  # Summaries land in build/bench-reports/, like the --store pass's.
+  "$ROOT/build/bench/bench_obs_overhead" \
+    --report-out="$ROOT/build/bench-reports/obs_overhead.json"
+  # Two bars on the read path, 2% each: the ServingGuard (admission +
+  # deadline, telemetry off) over raw snapshot lookups, and the
+  # query-path telemetry (windowed histograms, query log, exporter)
+  # over the bare guard, each the median ratio of paired slices. The
+  # bench exits non-zero past either.
+  "$ROOT/build/bench/bench_serving_telemetry" \
+    --report-out="$ROOT/build/bench-reports/serving_telemetry.json"
   echo "obs: clean"
 }
 
@@ -183,10 +189,10 @@ store_pass() {
   done
   # Cold-start bar: mmap OpenLatest must beat LoadFromFile + Seal by
   # >=10x; the bench exits non-zero below the threshold and writes the
-  # machine-readable comparison next to the other BENCH_* reports.
+  # machine-readable comparison to build/bench-reports/.
   cmake --build "$ROOT/build" -j "$JOBS" --target bench_snapshot_store
   "$ROOT/build/bench/bench_snapshot_store" \
-    --report-out="$ROOT/BENCH_snapshot_store.json"
+    --report-out="$ROOT/build/bench-reports/snapshot_store.json"
   echo "store: clean"
 }
 
