@@ -168,7 +168,7 @@ int Run(int argc, char** argv) {
   // Both paths must return identical corridors before timing them.
   for (const RouteKey& q : workload) {
     const auto scanned =
-        synthetic.CellsForRouteScan(q.origin, q.destination, q.segment);
+        synthetic.CellsForRoute(q.origin, q.destination, q.segment);
     const auto indexed =
         synthetic_snapshot->CellsForRoute(q.origin, q.destination, q.segment);
     if (scanned != indexed) {
@@ -183,7 +183,7 @@ int Run(int argc, char** argv) {
   const double route_scan_s = bench::TimeSeconds([&] {
     for (const RouteKey& q : workload) {
       scan_cells +=
-          synthetic.CellsForRouteScan(q.origin, q.destination, q.segment)
+          synthetic.CellsForRoute(q.origin, q.destination, q.segment)
               .size();
     }
   });

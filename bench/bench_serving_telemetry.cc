@@ -131,7 +131,7 @@ int Run(int argc, char** argv) {
 
   // Probe every corridor cell plus misses (cells far off the corridor),
   // cycled, so every shape hits the same mix.
-  std::vector<hex::CellIndex> probes = store.CellsForRoute(
+  std::vector<hex::CellIndex> probes = store.Acquire()->CellsForRoute(
       bench::kCorridorOrigin, bench::kCorridorDestination,
       bench::kCorridorSegment);
   const size_t hits = probes.size();

@@ -108,7 +108,7 @@ CheckpointManager::CheckpointManager(CheckpointConfig config)
   if (config_.keep < 1) config_.keep = 1;
 }
 
-Status CheckpointManager::Write(const CheckpointState& state) {
+Status CheckpointManager::Write(CheckpointState state) {
   POL_TRACE_SPAN("checkpoint.write");
   const double start = obs::kEnabled ? obs::NowSeconds() : 0.0;
   uint64_t bytes_written = 0;
@@ -119,7 +119,8 @@ Status CheckpointManager::Write(const CheckpointState& state) {
     POL_RETURN_IF_ERROR(POL_FAILPOINT("checkpoint.write"));
     store::SnapshotFileBuilder builder;
     builder.AddSection(kCheckpointSectionMeta, EncodeMeta(state));
-    builder.AddSection(kCheckpointSectionBuilderState, state.builder_state);
+    builder.AddSection(kCheckpointSectionBuilderState,
+                       std::move(state.builder_state));
     const std::string image = builder.Finish();
     POL_RETURN_IF_ERROR(store_.Publish(image).status());
     bytes_written = image.size();

@@ -93,8 +93,10 @@ class CheckpointManager {
   // Publishes one snapshot as the next generation and GCs old ones down
   // to `keep`. Generation numbers continue past any already in the
   // directory, so a resumed run never overwrites its predecessor's
-  // files. Fail point: "checkpoint.write".
-  Status Write(const CheckpointState& state);
+  // files. Takes the state by value so a caller that is done with it
+  // moves the builder bytes into the image instead of copying them.
+  // Fail point: "checkpoint.write".
+  Status Write(CheckpointState state);
 
   // Loads the newest generation that validates (container and meta),
   // falling back to older ones. NotFound when the directory holds no

@@ -36,8 +36,7 @@ flow::Dataset<PipelineRecord> ProjectToGrid(
       });
 }
 
-size_t SpliceSummaries(SummaryMap* into, SummaryMap* from) {
-  size_t new_route_keys = 0;
+void SpliceSummaries(SummaryMap* into, SummaryMap* from) {
   for (auto it = from->begin(); it != from->end();) {
     const auto node = it++;
     const auto present = into->find(node->first);
@@ -45,14 +44,9 @@ size_t SpliceSummaries(SummaryMap* into, SummaryMap* from) {
       present->second.Merge(std::move(node->second));
       continue;
     }
-    if (node->first.grouping_set ==
-        static_cast<uint8_t>(GroupingSet::kCellRouteType)) {
-      ++new_route_keys;
-    }
     into->insert(from->extract(node));
   }
   from->clear();
-  return new_route_keys;
 }
 
 SummaryMap ExtractFeatures(const flow::Dataset<PipelineRecord>& projected,

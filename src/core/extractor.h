@@ -35,9 +35,8 @@ using SummaryMap =
 // Folds `from` into `into` and leaves `from` empty. Keys absent from
 // `into` move across as map nodes, so their summaries are neither
 // copied nor reallocated; keys present merge their summaries. Nodes
-// move in `from`'s iteration order. Returns how many
-// (cell, origin, destination, type) keys were new to `into`.
-size_t SpliceSummaries(SummaryMap* into, SummaryMap* from);
+// move in `from`'s iteration order.
+void SpliceSummaries(SummaryMap* into, SummaryMap* from);
 
 // Assigns `cell` and `next_cell` at the configured resolution. Records
 // must be vessel-partitioned and time-sorted (ExtractTrips output).

@@ -49,6 +49,13 @@ GroupKey GroupKeyFromPacked(uint64_t cell, uint64_t dims) {
   return key;
 }
 
+uint64_t PackRouteKey(sim::PortId origin, sim::PortId destination,
+                      ais::MarketSegment segment) {
+  return (static_cast<uint64_t>(origin) << 32) |
+         (static_cast<uint64_t>(destination) << 16) |
+         static_cast<uint64_t>(segment);
+}
+
 std::string GroupKeyToString(const GroupKey& key) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "gs%u:%s:seg%u:o%u:d%u", key.grouping_set,

@@ -58,6 +58,12 @@ uint64_t GroupKeyDimsPacked(const GroupKey& key);
 // both store keys as (cell, dims) pairs in exactly this packing.
 GroupKey GroupKeyFromPacked(uint64_t cell, uint64_t dims);
 
+// The packed (origin, destination, segment) route key: the span key of
+// the POLSNAP1 route sections, sorted by this value, so the snapshot
+// binary-searches spans straight off its image.
+uint64_t PackRouteKey(sim::PortId origin, sim::PortId destination,
+                      ais::MarketSegment segment);
+
 struct GroupKeyHash {
   size_t operator()(const GroupKey& key) const {
     // Mix the two 64-bit halves (splitmix-style finalizer).

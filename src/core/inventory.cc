@@ -21,55 +21,26 @@ constexpr size_t kMagicLen = 8;
 }  // namespace
 
 Inventory::Inventory(int resolution, SummaryMap summaries)
-    : resolution_(resolution), summaries_(std::move(summaries)) {
-  route_index_.Build(summaries_);
-}
+    : resolution_(resolution), summaries_(std::move(summaries)) {}
 
-const CellSummary* Inventory::Cell(hex::CellIndex cell) const {
-  const auto it = summaries_.find(KeyCell(cell));
+const CellSummary* Inventory::Find(const GroupKey& key) const {
+  const auto it = summaries_.find(key);
   return it == summaries_.end() ? nullptr : &it->second;
 }
 
-const CellSummary* Inventory::CellType(hex::CellIndex cell,
-                                       ais::MarketSegment segment) const {
-  const auto it = summaries_.find(KeyCellType(cell, segment));
-  return it == summaries_.end() ? nullptr : &it->second;
-}
-
-const CellSummary* Inventory::CellRouteType(
-    hex::CellIndex cell, sim::PortId origin, sim::PortId destination,
-    ais::MarketSegment segment) const {
-  const auto it = summaries_.find(
-      KeyCellRouteType(cell, origin, destination, segment));
-  return it == summaries_.end() ? nullptr : &it->second;
-}
-
-std::vector<hex::CellIndex> Inventory::CellsForRoute(
+std::vector<hex::CellIndex> Inventory::RouteCells(
     sim::PortId origin, sim::PortId destination,
     ais::MarketSegment segment) const {
-  return route_index_.CellsWithReversedFallback(origin, destination, segment);
-}
-
-std::vector<hex::CellIndex> Inventory::CellsForRouteScan(
-    sim::PortId origin, sim::PortId destination,
-    ais::MarketSegment segment) const {
-  const auto scan = [this, segment](sim::PortId o, sim::PortId d) {
-    std::vector<hex::CellIndex> cells;
-    for (const auto& [key, summary] : summaries_) {
-      if (key.grouping_set !=
-          static_cast<uint8_t>(GroupingSet::kCellRouteType)) {
-        continue;
-      }
-      if (key.origin == o && key.destination == d &&
-          key.segment == static_cast<uint8_t>(segment)) {
-        cells.push_back(key.cell);
-      }
+  std::vector<hex::CellIndex> cells;
+  for (const auto& [key, summary] : summaries_) {
+    if (key.grouping_set ==
+            static_cast<uint8_t>(GroupingSet::kCellRouteType) &&
+        key.origin == origin && key.destination == destination &&
+        key.segment == static_cast<uint8_t>(segment)) {
+      cells.push_back(key.cell);
     }
-    std::sort(cells.begin(), cells.end());
-    return cells;
-  };
-  std::vector<hex::CellIndex> cells = scan(origin, destination);
-  if (cells.empty()) cells = scan(destination, origin);
+  }
+  std::sort(cells.begin(), cells.end());
   return cells;
 }
 
@@ -137,12 +108,7 @@ Status Inventory::MergeFrom(Inventory&& other) {
     return Status::FailedPrecondition(
         "cannot merge inventories of different resolutions");
   }
-  // The route index depends only on the key set: rebuild it only when
-  // the batch brought a route key this inventory did not have.
-  if (SpliceSummaries(&summaries_, &other.summaries_) > 0) {
-    route_index_.Build(summaries_);
-  }
-  other.route_index_.Clear();
+  SpliceSummaries(&summaries_, &other.summaries_);
   return Status::OK();
 }
 

@@ -9,7 +9,6 @@
 
 #include "core/extractor.h"
 #include "core/inventory_query.h"
-#include "core/route_index.h"
 
 // The global inventory — the paper's end product: a keyed store of
 // per-cell statistical summaries for all grouping sets, queryable by
@@ -17,13 +16,14 @@
 // binary file.
 //
 // This is the *build side*: a mutable map that InventoryBuilder folds
-// chunk results into and MergeFrom folds daily batches into. It
-// implements the read-side InventoryQuery interface directly (point
-// lookups are hash probes; CellsForRoute goes through an eagerly
-// maintained RouteIndex), and Seal() encodes the current contents into
-// the POLSNAP1 image an immutable InventorySnapshot serves from — the
-// same class and layout a stored generation opens as (see
-// inventory_snapshot.h, snapshot_codec.h and serving_inventory.h).
+// chunk results into and MergeFrom folds daily batches into. It supplies
+// the InventoryQuery primitives straight off the map (Find is a hash
+// probe; RouteCells, SegmentsAt and the visits are scans) and keeps no
+// secondary index. Seal() encodes the current contents, route and
+// segment indexes included, into the POLSNAP1 image an immutable
+// InventorySnapshot serves from — the same class and layout a stored
+// generation opens as (see inventory_snapshot.h, snapshot_codec.h and
+// serving_inventory.h).
 
 namespace pol::core {
 
@@ -59,29 +59,14 @@ class Inventory final : public InventoryQuery {
   size_t size() const override { return summaries_.size(); }
   const SummaryMap& summaries() const { return summaries_; }
 
-  // Point lookups per grouping set; nullptr when the group is absent.
-  const CellSummary* Cell(hex::CellIndex cell) const override;
-  const CellSummary* CellType(hex::CellIndex cell,
-                              ais::MarketSegment segment) const override;
-  const CellSummary* CellRouteType(hex::CellIndex cell, sim::PortId origin,
-                                   sim::PortId destination,
-                                   ais::MarketSegment segment) const override;
+  const CellSummary* Find(const GroupKey& key) const override;
 
-  // All cells carrying a summary for a given (origin, destination,
-  // segment) key — the route-forecasting query of section 4.1.3.
-  // Answered by the route index in O(log routes + k), ascending cell
-  // order, with the reversed-pair fallback of the interface contract.
-  std::vector<hex::CellIndex> CellsForRoute(
+  // A full scan over every summary: the reference the snapshot's route
+  // sections are property-tested against and the bench_query_speedup
+  // baseline.
+  std::vector<hex::CellIndex> RouteCells(
       sim::PortId origin, sim::PortId destination,
       ais::MarketSegment segment) const override;
-
-  // The pre-index reference implementation: a full scan over every
-  // summary, same answer contract as CellsForRoute. Kept for the
-  // scan-vs-index property tests and the bench_query_speedup baseline —
-  // production callers use CellsForRoute.
-  std::vector<hex::CellIndex> CellsForRouteScan(
-      sim::PortId origin, sim::PortId destination,
-      ais::MarketSegment segment) const;
 
   std::vector<ais::MarketSegment> SegmentsAt(
       hex::CellIndex cell) const override;
@@ -106,9 +91,10 @@ class Inventory final : public InventoryQuery {
   Status MergeFrom(Inventory&& other);
 
   // Encodes the current contents straight into a POLSNAP1 heap image
-  // (sorted key sections, summary blobs, both secondary indexes; see
-  // snapshot_codec.h) and serves it through InventorySnapshot::FromImage,
-  // like a stored generation. No summary is copied; the build side keeps
+  // (sorted key sections, summary blobs, both secondary indexes, built
+  // from the sorted keys in the same pass; see snapshot_codec.h) and
+  // serves it through InventorySnapshot::FromImage, like a stored
+  // generation. No summary is copied; the build side keeps
   // working and the snapshot shares nothing with it. Records
   // serving.seal_seconds.
   std::shared_ptr<const InventorySnapshot> Seal() const;
@@ -125,10 +111,6 @@ class Inventory final : public InventoryQuery {
  private:
   int resolution_;
   SummaryMap summaries_;
-  // Built eagerly on construction and rebuilt by MergeFrom when it adds
-  // a route key, so const queries never mutate state (safe for
-  // concurrent readers). Seal() writes its spans into the image.
-  RouteIndex route_index_;
 };
 
 }  // namespace pol::core

@@ -1,31 +1,32 @@
 #include "core/inventory_query.h"
 
+#include <utility>
+#include <vector>
+
 #include "hexgrid/hexgrid.h"
 
 namespace pol::core {
 
 InventoryQuery::~InventoryQuery() = default;
 
-bool InventoryQuery::VisitGroupingSetWhile(
-    GroupingSet set, const CancellableVisitor& visitor) const {
-  // Fallback over the unconditional walk: visits stop the moment the
-  // visitor asks, but the underlying iteration still runs to the end of
-  // the set. Concrete stores override this with a real early exit; the
-  // semantics — no visits after a stop, return value reports whether
-  // the walk completed — are identical.
-  bool keep_going = true;
-  VisitGroupingSet(set, [&keep_going, &visitor](const GroupKey& key,
-                                                const CellSummary& summary) {
-    if (keep_going) keep_going = visitor(key, summary);
-  });
-  return keep_going;
-}
-
-uint64_t InventoryQuery::DistinctCells() const {
-  uint64_t cells = 0;
-  VisitGroupingSet(GroupingSet::kCell,
-                   [&cells](const GroupKey&, const CellSummary&) { ++cells; });
-  return cells;
+InventoryQuery::RouteCorridor InventoryQuery::CorridorForRoute(
+    sim::PortId origin, sim::PortId destination,
+    ais::MarketSegment segment) const {
+  RouteCorridor corridor;
+  corridor.cells = RouteCells(origin, destination, segment);
+  corridor.origin = origin;
+  corridor.destination = destination;
+  if (corridor.cells.empty()) {
+    std::vector<hex::CellIndex> reversed =
+        RouteCells(destination, origin, segment);
+    if (!reversed.empty()) {
+      corridor.cells = std::move(reversed);
+      corridor.origin = destination;
+      corridor.destination = origin;
+      corridor.reversed = true;
+    }
+  }
+  return corridor;
 }
 
 const CellSummary* InventoryQuery::AtPosition(

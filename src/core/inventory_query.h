@@ -9,13 +9,19 @@
 #include "core/cell_summary.h"
 #include "core/group_key.h"
 
-// The narrow read-side interface of the global inventory (the paper's
-// section 4 query surface). Every consumer — the usecases, polinv, the
-// examples and the benches — binds to this interface, never to a
-// concrete store: the same estimator runs against the mutable
-// build-side `Inventory`, an immutable `InventorySnapshot` (sealed from
-// it or mapped from a stored generation — one class either way), or a
-// hot-swappable `ServingInventory`. pollint's
+// The read side of the global inventory (the paper's section 4 query
+// surface), and the one place query policy is decided. Every consumer —
+// the usecases, polinv, the examples and the benches — binds to this
+// class, never to a concrete store. Its two stores, the mutable
+// build-side `Inventory` and the immutable `InventorySnapshot` (sealed
+// from it or mapped from a stored generation — one class either way),
+// supply only the virtual primitives below: one key lookup, the cells
+// of one exact route key, the segments at a cell and the visits.
+//
+// The policy on top is defined once, here, and is not virtual: the
+// per-grouping-set lookups, the reversed-port-pair rule of
+// CellsForRoute, and the most-specific-first fallback ladder every
+// section 4 usecase answers from (Resolve). pollint's
 // `inventory-query` rule enforces the boundary by flagging direct
 // `summaries()` map iteration outside src/core/.
 
@@ -25,31 +31,22 @@ class InventoryQuery {
  public:
   virtual ~InventoryQuery();
 
+  // --- Primitives: each store implements these. ---
+
   // Grid resolution all keys are expressed at.
   virtual int resolution() const = 0;
 
   // Total summaries across all grouping sets.
   virtual size_t size() const = 0;
 
-  // Point lookups per grouping set; nullptr when the group is absent.
-  // Returned pointers stay valid for the lifetime of the queried store
-  // (for ServingInventory: of the snapshot they were answered from).
-  virtual const CellSummary* Cell(hex::CellIndex cell) const = 0;
-  virtual const CellSummary* CellType(hex::CellIndex cell,
-                                      ais::MarketSegment segment) const = 0;
-  virtual const CellSummary* CellRouteType(hex::CellIndex cell,
-                                           sim::PortId origin,
-                                           sim::PortId destination,
-                                           ais::MarketSegment segment)
-      const = 0;
+  // The summary stored under `key`; nullptr when absent. Returned
+  // pointers stay valid for the lifetime of the queried store.
+  virtual const CellSummary* Find(const GroupKey& key) const = 0;
 
-  // All cells carrying a summary for an (origin, destination, segment)
-  // key — the route-forecasting query of section 4.1.3 — in ascending
-  // cell order. A route key with no summaries answers with the
-  // *reversed* pair's cells when those exist: corridors are recorded
-  // directionally, and the silent empty answer on a return voyage was a
-  // long-standing trap (see DESIGN.md §3.5).
-  virtual std::vector<hex::CellIndex> CellsForRoute(
+  // Cells carrying a summary under the exact (origin, destination,
+  // segment) route key, ascending. No reversed-pair fallback: that
+  // policy is CellsForRoute's.
+  virtual std::vector<hex::CellIndex> RouteCells(
       sim::PortId origin, sim::PortId destination,
       ais::MarketSegment segment) const = 0;
 
@@ -69,19 +66,87 @@ class InventoryQuery {
   // walk — the cooperative-cancellation hook the serving guard threads
   // per-call deadlines through (see core/serving_guard.h). Returns true
   // when every summary was visited, false when a visitor stopped early.
-  // The base implementation suppresses visits after a stop (correct for
-  // any store); Inventory and InventorySnapshot override it with a real
-  // early exit out of the walk.
   using CancellableVisitor =
       std::function<bool(const GroupKey&, const CellSummary&)>;
-  virtual bool VisitGroupingSetWhile(GroupingSet set,
-                                     const CancellableVisitor& visitor) const;
+  virtual bool VisitGroupingSetWhile(
+      GroupingSet set, const CancellableVisitor& visitor) const = 0;
 
-  // Distinct cells in grouping set 1 (the Table 4 "#Cells"). Default
-  // counts via VisitGroupingSet; snapshots answer in O(1).
-  virtual uint64_t DistinctCells() const;
+  // Distinct cells in grouping set 1 (the Table 4 "#Cells").
+  virtual uint64_t DistinctCells() const = 0;
 
-  // --- Conveniences shared by every implementation. ---
+  // --- Policy: defined once, over the primitives. ---
+
+  // Point lookups per grouping set; nullptr when the group is absent.
+  const CellSummary* Cell(hex::CellIndex cell) const {
+    return Find(KeyCell(cell));
+  }
+  const CellSummary* CellType(hex::CellIndex cell,
+                              ais::MarketSegment segment) const {
+    return Find(KeyCellType(cell, segment));
+  }
+  const CellSummary* CellRouteType(hex::CellIndex cell, sim::PortId origin,
+                                   sim::PortId destination,
+                                   ais::MarketSegment segment) const {
+    return Find(KeyCellRouteType(cell, origin, destination, segment));
+  }
+
+  // A route key's corridor and the port-pair orientation whose
+  // summaries hold it. Corridors are recorded directionally: a key with
+  // no cells answers with the reversed pair's cells when those exist,
+  // and `origin`/`destination` then name that reversed pair — the key
+  // to look the corridor's summaries up under (see DESIGN.md §3.5).
+  struct RouteCorridor {
+    std::vector<hex::CellIndex> cells;  // Ascending.
+    sim::PortId origin = sim::kNoPort;
+    sim::PortId destination = sim::kNoPort;
+    bool reversed = false;  // True when (destination, origin) answered.
+  };
+  RouteCorridor CorridorForRoute(sim::PortId origin, sim::PortId destination,
+                                 ais::MarketSegment segment) const;
+
+  // The corridor's cells alone — the route-forecasting query of
+  // section 4.1.3.
+  std::vector<hex::CellIndex> CellsForRoute(sim::PortId origin,
+                                            sim::PortId destination,
+                                            ais::MarketSegment segment) const {
+    return CorridorForRoute(origin, destination, segment).cells;
+  }
+
+  // The fallback ladder of the section 4 usecases: the most specific
+  // grouping set whose summary `accept` takes answers. Levels, in
+  // order: (cell, origin, destination, segment) — skipped when either
+  // port is kNoPort — then (cell, segment), then (cell). `accept` is
+  // called as accept(summary, level) for every present summary, in
+  // ladder order, until one is taken. A null summary means no level
+  // was accepted. A template so a usecase's acceptance test inlines
+  // into its lookup loop.
+  struct Resolved {
+    const CellSummary* summary = nullptr;
+    GroupingSet level = GroupingSet::kCell;
+  };
+  template <typename Accept>
+  Resolved Resolve(hex::CellIndex cell, ais::MarketSegment segment,
+                   sim::PortId origin, sim::PortId destination,
+                   const Accept& accept) const {
+    const auto offer = [&accept](const CellSummary* summary,
+                                 GroupingSet level) {
+      return summary != nullptr && accept(*summary, level);
+    };
+    if (origin != sim::kNoPort && destination != sim::kNoPort) {
+      const CellSummary* route =
+          CellRouteType(cell, origin, destination, segment);
+      if (offer(route, GroupingSet::kCellRouteType)) {
+        return {route, GroupingSet::kCellRouteType};
+      }
+    }
+    const CellSummary* type = CellType(cell, segment);
+    if (offer(type, GroupingSet::kCellType)) {
+      return {type, GroupingSet::kCellType};
+    }
+    const CellSummary* all = Cell(cell);
+    if (offer(all, GroupingSet::kCell)) return {all, GroupingSet::kCell};
+    return {};
+  }
 
   // Summary of the cell containing a position (the "query for a
   // specific location" of the paper's abstract).

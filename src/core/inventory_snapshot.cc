@@ -230,9 +230,11 @@ const CellSummary* InventorySnapshot::Materialize(const SetView& set,
   return expected;  // Another thread won the race; ours is discarded.
 }
 
-const CellSummary* InventorySnapshot::Find(GroupingSet set, uint64_t cell,
-                                           uint64_t dims) const {
-  const SetView& entries = sets_[static_cast<size_t>(set)];
+const CellSummary* InventorySnapshot::Find(const GroupKey& key) const {
+  if (key.grouping_set >= kNumGroupingSets) return nullptr;
+  const SetView& entries = sets_[key.grouping_set];
+  const uint64_t cell = key.cell;
+  const uint64_t dims = GroupKeyDimsPacked(key);
   size_t lo = 0;
   size_t hi = entries.count;
   while (lo < hi) {
@@ -252,26 +254,10 @@ const CellSummary* InventorySnapshot::Find(GroupingSet set, uint64_t cell,
   return Materialize(entries, lo);
 }
 
-const CellSummary* InventorySnapshot::Cell(hex::CellIndex cell) const {
-  return Find(GroupingSet::kCell, cell, GroupKeyDimsPacked(KeyCell(cell)));
-}
-
-const CellSummary* InventorySnapshot::CellType(
-    hex::CellIndex cell, ais::MarketSegment segment) const {
-  return Find(GroupingSet::kCellType, cell,
-              GroupKeyDimsPacked(KeyCellType(cell, segment)));
-}
-
-const CellSummary* InventorySnapshot::CellRouteType(
-    hex::CellIndex cell, sim::PortId origin, sim::PortId destination,
-    ais::MarketSegment segment) const {
-  return Find(
-      GroupingSet::kCellRouteType, cell,
-      GroupKeyDimsPacked(KeyCellRouteType(cell, origin, destination, segment)));
-}
-
 std::vector<hex::CellIndex> InventorySnapshot::RouteCells(
-    uint64_t packed) const {
+    sim::PortId origin, sim::PortId destination,
+    ais::MarketSegment segment) const {
+  const uint64_t packed = PackRouteKey(origin, destination, segment);
   size_t lo = 0;
   size_t hi = route_span_count_;
   while (lo < hi) {
@@ -291,19 +277,6 @@ std::vector<hex::CellIndex> InventorySnapshot::RouteCells(
   cells.reserve(static_cast<size_t>(end - begin));
   for (uint64_t i = begin; i < end; ++i) {
     cells.push_back(store::LoadU64(route_cells_ + i * sizeof(uint64_t)));
-  }
-  return cells;
-}
-
-std::vector<hex::CellIndex> InventorySnapshot::CellsForRoute(
-    sim::PortId origin, sim::PortId destination,
-    ais::MarketSegment segment) const {
-  // The interface's answer policy: the exact key's cells, falling back
-  // to the reversed port pair when the exact key is empty.
-  std::vector<hex::CellIndex> cells =
-      RouteCells(RouteIndex::PackRouteKey(origin, destination, segment));
-  if (cells.empty()) {
-    cells = RouteCells(RouteIndex::PackRouteKey(destination, origin, segment));
   }
   return cells;
 }
@@ -382,8 +355,15 @@ std::shared_ptr<const InventorySnapshot> Inventory::Seal() const {
   std::vector<std::pair<uint32_t, std::string>> sections;
   SnapshotMeta meta;
   meta.resolution = resolution_;
+  // (packed route, cell) of every route-set key, collected as the route
+  // set encodes: the source of the route sections below.
+  std::vector<std::pair<uint64_t, hex::CellIndex>> routes;
+  routes.reserve(
+      per_set[static_cast<size_t>(GroupingSet::kCellRouteType)].size());
   for (size_t set = 0; set < kNumGroupingSets; ++set) {
     auto& pointers = per_set[set];
+    const bool route_set =
+        set == static_cast<size_t>(GroupingSet::kCellRouteType);
     std::sort(pointers.begin(), pointers.end(),
               [](const SummaryMap::value_type* a,
                  const SummaryMap::value_type* b) {
@@ -412,6 +392,13 @@ std::shared_ptr<const InventorySnapshot> Inventory::Seal() const {
       store::AppendU64(&keys, GroupKeyDimsPacked(entry->first));
       store::AppendU64(&offsets, blob.size());
       entry->second.Serialize(&blob);
+      if (route_set) {
+        const GroupKey& key = entry->first;
+        routes.emplace_back(
+            PackRouteKey(key.origin, key.destination,
+                         static_cast<ais::MarketSegment>(key.segment)),
+            key.cell);
+      }
     }
     store::AppendU64(&offsets, blob.size());
     const uint32_t ordinal = static_cast<uint32_t>(set);
@@ -424,24 +411,29 @@ std::shared_ptr<const InventorySnapshot> Inventory::Seal() const {
     meta.total += pointers.size();
   }
 
-  // Secondary index 1: (origin, destination, segment) -> cells, copied
-  // out of the route index the build side keeps current.
+  // Secondary index 1: (origin, destination, segment) -> cells. One
+  // span per route key over a cell array ascending within each span.
+  std::sort(routes.begin(), routes.end());
   std::string spans;
-  spans.reserve(route_index_.routes() * kRouteSpanBytes);
-  route_index_.ForEachSpan([&spans](uint64_t route, size_t begin, size_t end) {
-    store::AppendU64(&spans, route);
+  std::string route_cells;
+  route_cells.reserve(routes.size() * sizeof(uint64_t));
+  uint64_t span_count = 0;
+  for (size_t begin = 0; begin < routes.size();) {
+    size_t end = begin;
+    for (; end < routes.size() && routes[end].first == routes[begin].first;
+         ++end) {
+      store::AppendU64(&route_cells, routes[end].second);
+    }
+    store::AppendU64(&spans, routes[begin].first);
     store::AppendU64(&spans, begin);
     store::AppendU64(&spans, end);
-  });
-  sections.emplace_back(kSnapSectionRouteSpans, std::move(spans));
-  std::string route_cells;
-  route_cells.reserve(route_index_.cells() * sizeof(uint64_t));
-  for (const hex::CellIndex cell : route_index_.cell_array()) {
-    store::AppendU64(&route_cells, cell);
+    ++span_count;
+    begin = end;
   }
+  sections.emplace_back(kSnapSectionRouteSpans, std::move(spans));
   sections.emplace_back(kSnapSectionRouteCells, std::move(route_cells));
-  meta.stats.route_index_routes = route_index_.routes();
-  meta.stats.route_index_cells = route_index_.cells();
+  meta.stats.route_index_routes = span_count;
+  meta.stats.route_index_cells = routes.size();
 
   // Secondary index 2: cell -> present-segments bitmask, derived from
   // the already-sorted (cell, type) keys.

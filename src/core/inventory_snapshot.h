@@ -21,13 +21,15 @@
 // encoded; both open through FromImage, and no query can tell them
 // apart.
 //
-// Layout: per grouping set one (cell, dims)-sorted fixed-width key
-// array plus summary offsets into a blob — point lookups are a binary
-// search in place, visitation is a linear walk in deterministic order —
-// and two secondary indexes encoded at seal time: route spans over a
-// route-cell array ((origin, destination, segment) -> cells, backing
-// CellsForRoute in O(log n + k)) and a cell -> present-segments bitmask
-// table. Summaries are decoded lazily, once per entry, into a CAS
+// It supplies the InventoryQuery primitives; the query policy on top
+// (per-set lookups, the reversed-route rule, the fallback ladder) is
+// InventoryQuery's. Layout: per grouping set one (cell, dims)-sorted
+// fixed-width key array plus summary offsets into a blob — Find is a
+// binary search in place, visitation is a linear walk in deterministic
+// order — and two secondary indexes encoded at seal time: route spans
+// over a route-cell array ((origin, destination, segment) -> cells,
+// backing RouteCells in O(log n + k)) and a cell -> present-segments
+// bitmask table. Summaries are decoded lazily, once per entry, into a CAS
 // cache; everything else is read straight from the image. Nothing
 // mutates after opening except that cache, so any number of threads may
 // query concurrently without locks; ServingInventory hot-swaps whole
@@ -73,14 +75,8 @@ class InventorySnapshot final : public InventoryQuery {
   int resolution() const override { return resolution_; }
   size_t size() const override { return total_; }
 
-  const CellSummary* Cell(hex::CellIndex cell) const override;
-  const CellSummary* CellType(hex::CellIndex cell,
-                              ais::MarketSegment segment) const override;
-  const CellSummary* CellRouteType(hex::CellIndex cell, sim::PortId origin,
-                                   sim::PortId destination,
-                                   ais::MarketSegment segment) const override;
-
-  std::vector<hex::CellIndex> CellsForRoute(
+  const CellSummary* Find(const GroupKey& key) const override;
+  std::vector<hex::CellIndex> RouteCells(
       sim::PortId origin, sim::PortId destination,
       ais::MarketSegment segment) const override;
 
@@ -119,8 +115,6 @@ class InventorySnapshot final : public InventoryQuery {
 
   Status Bind(const store::SnapshotFileView& view);
   const CellSummary* Materialize(const SetView& set, size_t i) const;
-  const CellSummary* Find(GroupingSet set, uint64_t cell, uint64_t dims) const;
-  std::vector<hex::CellIndex> RouteCells(uint64_t packed) const;
   template <typename Visitor>
   bool Walk(GroupingSet set, const Visitor& visitor) const;
 

@@ -150,7 +150,7 @@ PipelineResult RunPipelineImpl(
     state.total_chunks = total_chunks;
     state.quarantined = quarantine_ledger;
     builder.SerializeState(&state.builder_state);
-    Status written = checkpoints.Write(state);
+    Status written = checkpoints.Write(std::move(state));
     if (written.ok()) {
       ++result.coverage.checkpoints_written;
       return Status::OK();

@@ -3,7 +3,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -125,66 +124,6 @@ Status ServingInventory::Refresh(Inventory&& delta) {
 void ServingInventory::SerializeBuildSide(std::string* out) const {
   MutexLock lock(refresh_mutex_);
   base_.SerializeTo(out);
-}
-
-namespace {
-
-// Read-side anchor for the pointer-returning queries: the snapshot a
-// pointer was answered from must outlive the caller's use of it, and
-// the temporary shared_ptr of a plain `Acquire()->Cell(...)` would die
-// at the end of the statement — a use-after-free the moment a
-// concurrent Swap dropped the other reference. Parking the acquired
-// snapshot in a thread-local keeps it alive until the same thread's
-// next ServingInventory query (RCU-style), which is exactly the
-// documented pointer-validity contract.
-const InventorySnapshot* AnchorForThisThread(
-    std::shared_ptr<const InventorySnapshot> snapshot) {
-  thread_local std::shared_ptr<const InventorySnapshot> anchor;
-  anchor = std::move(snapshot);
-  return anchor.get();
-}
-
-}  // namespace
-
-const CellSummary* ServingInventory::Cell(hex::CellIndex cell) const {
-  return AnchorForThisThread(Acquire())->Cell(cell);
-}
-
-const CellSummary* ServingInventory::CellType(
-    hex::CellIndex cell, ais::MarketSegment segment) const {
-  return AnchorForThisThread(Acquire())->CellType(cell, segment);
-}
-
-const CellSummary* ServingInventory::CellRouteType(
-    hex::CellIndex cell, sim::PortId origin, sim::PortId destination,
-    ais::MarketSegment segment) const {
-  return AnchorForThisThread(Acquire())
-      ->CellRouteType(cell, origin, destination, segment);
-}
-
-std::vector<hex::CellIndex> ServingInventory::CellsForRoute(
-    sim::PortId origin, sim::PortId destination,
-    ais::MarketSegment segment) const {
-  return Acquire()->CellsForRoute(origin, destination, segment);
-}
-
-std::vector<ais::MarketSegment> ServingInventory::SegmentsAt(
-    hex::CellIndex cell) const {
-  return Acquire()->SegmentsAt(cell);
-}
-
-void ServingInventory::VisitGroupingSet(GroupingSet set,
-                                        const SummaryVisitor& visitor) const {
-  Acquire()->VisitGroupingSet(set, visitor);
-}
-
-bool ServingInventory::VisitGroupingSetWhile(
-    GroupingSet set, const CancellableVisitor& visitor) const {
-  return Acquire()->VisitGroupingSetWhile(set, visitor);
-}
-
-uint64_t ServingInventory::DistinctCells() const {
-  return Acquire()->DistinctCells();
 }
 
 }  // namespace pol::core

@@ -5,14 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 #include <version>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 #include "core/inventory.h"
-#include "core/inventory_query.h"
 #include "core/inventory_snapshot.h"
 
 // The hot-swap serving store: an atomic holder of the current immutable
@@ -26,14 +24,11 @@
 // stays alive until its last shared_ptr drops. This is the paper's
 // daily incremental fold turned into a zero-downtime refresh.
 //
-// ServingInventory also implements InventoryQuery directly: each call
-// acquires the active snapshot and answers from it, so single-shot
-// callers need no explicit Acquire. Pointers returned by the summary
-// lookups stay valid until the calling thread's next ServingInventory
-// query (the answering snapshot is anchored in a thread-local).
-// Multi-call consumers that need one consistent view across calls
-// (e.g. a LaneAnalyzer sweep) should Acquire() once and query the
-// snapshot.
+// ServingInventory is a holder, not a query surface: readers Acquire()
+// a snapshot (or go through ServingGuard, which acquires per call) and
+// query that. Holding the acquired shared_ptr keeps every pointer
+// answered from it valid, and a multi-call consumer (e.g. a LaneAnalyzer
+// sweep) sees one consistent view across its calls.
 //
 // Metrics (obs::Registry, surfaced in the pol.run_report/1 metrics
 // block): serving.seal_seconds (histogram, recorded by Seal),
@@ -63,7 +58,7 @@ class SnapshotStore;
 
 namespace pol::core {
 
-class ServingInventory final : public InventoryQuery {
+class ServingInventory final {
  public:
   // Takes ownership of the build side and publishes its first snapshot.
   explicit ServingInventory(Inventory base);
@@ -149,25 +144,9 @@ class ServingInventory final : public InventoryQuery {
   // are tested against.
   void SerializeBuildSide(std::string* out) const;
 
-  // --- InventoryQuery over the active snapshot. ---
-  int resolution() const override { return Acquire()->resolution(); }
-  size_t size() const override { return Acquire()->size(); }
-  const CellSummary* Cell(hex::CellIndex cell) const override;
-  const CellSummary* CellType(hex::CellIndex cell,
-                              ais::MarketSegment segment) const override;
-  const CellSummary* CellRouteType(hex::CellIndex cell, sim::PortId origin,
-                                   sim::PortId destination,
-                                   ais::MarketSegment segment) const override;
-  std::vector<hex::CellIndex> CellsForRoute(
-      sim::PortId origin, sim::PortId destination,
-      ais::MarketSegment segment) const override;
-  std::vector<ais::MarketSegment> SegmentsAt(
-      hex::CellIndex cell) const override;
-  void VisitGroupingSet(GroupingSet set,
-                        const SummaryVisitor& visitor) const override;
-  bool VisitGroupingSetWhile(GroupingSet set,
-                             const CancellableVisitor& visitor) const override;
-  uint64_t DistinctCells() const override;
+  // Summaries and distinct cells of the active snapshot.
+  size_t size() const { return Acquire()->size(); }
+  uint64_t DistinctCells() const { return Acquire()->DistinctCells(); }
 
  private:
   mutable Mutex refresh_mutex_;

@@ -14,14 +14,24 @@ AnomalyAssessment AnomalyDetector::Assess(const geo::LatLng& position,
   const hex::CellIndex cell =
       hex::LatLngToCell(position, inventory_->resolution());
   // Segment-specific baseline when it carries enough history; otherwise
-  // the all-traffic summary of the cell.
-  const core::CellSummary* summary = inventory_->CellType(cell, segment);
-  if (summary == nullptr || summary->record_count() < config_.min_support) {
-    summary = inventory_->Cell(cell);
-  }
-  assessment.cell_support = summary == nullptr ? 0 : summary->record_count();
+  // the all-traffic summary of the cell. Without a reliable baseline the
+  // support reported is the all-traffic summary's.
+  uint64_t all_traffic_support = 0;
+  const auto reliable = [this, &all_traffic_support](
+                            const core::CellSummary& candidate,
+                            core::GroupingSet level) {
+    if (level == core::GroupingSet::kCell) {
+      all_traffic_support = candidate.record_count();
+    }
+    return candidate.record_count() >= config_.min_support;
+  };
+  const core::CellSummary* summary =
+      inventory_->Resolve(cell, segment, sim::kNoPort, sim::kNoPort, reliable)
+          .summary;
+  assessment.cell_support =
+      summary == nullptr ? all_traffic_support : summary->record_count();
 
-  if (summary == nullptr || summary->record_count() < config_.min_support) {
+  if (summary == nullptr) {
     assessment.off_lane = true;
     assessment.score = 1;
     return assessment;  // No reliable kinematic baseline off the lanes.

@@ -12,8 +12,12 @@ bool DestinationPredictor::Observe(const geo::LatLng& position,
   ++observations_;
   const hex::CellIndex cell =
       hex::LatLngToCell(position, inventory_->resolution());
-  const core::CellSummary* summary = inventory_->CellType(cell, segment);
-  if (summary == nullptr) summary = inventory_->Cell(cell);
+  const auto any = [](const core::CellSummary&, core::GroupingSet) {
+    return true;
+  };
+  const core::CellSummary* summary =
+      inventory_->Resolve(cell, segment, sim::kNoPort, sim::kNoPort, any)
+          .summary;
   if (summary == nullptr) return false;
   const auto top = summary->destinations().TopN(5);
   if (top.empty()) return false;

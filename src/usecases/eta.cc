@@ -26,21 +26,13 @@ Result<EtaEstimate> EtaEstimator::Estimate(const geo::LatLng& position,
   if (cell == hex::kInvalidCell) {
     return Status::InvalidArgument("bad position");
   }
-  // Most-specific-first fallback chain.
-  if (origin != sim::kNoPort && destination != sim::kNoPort) {
-    const core::CellSummary* summary =
-        inventory_->CellRouteType(cell, origin, destination, segment);
-    if (summary != nullptr && summary->ata().count() > 0) {
-      return FromSummary(*summary, 2);
-    }
-  }
-  if (const core::CellSummary* summary = inventory_->CellType(cell, segment);
-      summary != nullptr && summary->ata().count() > 0) {
-    return FromSummary(*summary, 1);
-  }
-  if (const core::CellSummary* summary = inventory_->Cell(cell);
-      summary != nullptr && summary->ata().count() > 0) {
-    return FromSummary(*summary, 0);
+  const core::InventoryQuery::Resolved resolved = inventory_->Resolve(
+      cell, segment, origin, destination,
+      [](const core::CellSummary& summary, core::GroupingSet) {
+        return summary.ata().count() > 0;
+      });
+  if (resolved.summary != nullptr) {
+    return FromSummary(*resolved.summary, static_cast<int>(resolved.level));
   }
   return Status::NotFound("no historical arrivals for this cell");
 }

@@ -41,9 +41,11 @@ Result<RouteForecast> RouteForecaster::Forecast(
                        ports_->Find(destination));
   const int res = inventory_->resolution();
 
-  // The full set of cells historical voyages of this key crossed.
-  const std::vector<hex::CellIndex> cells =
-      inventory_->CellsForRoute(origin, destination, segment);
+  // The full set of cells historical voyages of this key crossed — or,
+  // for a corridor recorded only the other way, of the reversed key.
+  const core::InventoryQuery::RouteCorridor route =
+      inventory_->CorridorForRoute(origin, destination, segment);
+  const std::vector<hex::CellIndex>& cells = route.cells;
   if (cells.empty()) {
     return Status::NotFound("no historical cells for this route key");
   }
@@ -64,17 +66,23 @@ Result<RouteForecast> RouteForecaster::Forecast(
     return Status::NotFound("corridor does not reach the destination");
   }
 
-  // Directed transition graph over the corridor.
+  // Directed transition graph over the corridor. Summaries live under
+  // the orientation that answered; a transition recorded on the
+  // reversed key runs the other way on this voyage.
   std::unordered_map<hex::CellIndex, std::vector<hex::CellIndex>> edges;
   size_t edge_count = 0;
   for (const hex::CellIndex cell : cells) {
-    const core::CellSummary* summary =
-        inventory_->CellRouteType(cell, origin, destination, segment);
+    const core::CellSummary* summary = inventory_->CellRouteType(
+        cell, route.origin, route.destination, segment);
     if (summary == nullptr) continue;
     for (const auto& entry : summary->transitions().Entries()) {
       const hex::CellIndex next = entry.key;
       if (!corridor.count(next)) continue;
-      edges[cell].push_back(next);
+      if (route.reversed) {
+        edges[next].push_back(cell);
+      } else {
+        edges[cell].push_back(next);
+      }
       ++edge_count;
     }
   }

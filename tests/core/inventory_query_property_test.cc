@@ -1,9 +1,11 @@
 // Property regression for the serving split: on randomized inventories,
-// the legacy full-scan route query, the build-side route index, and the
-// snapshot — freshly sealed or reopened from a store — must agree on
-// every answer: point lookups byte-identical, corridors
-// element-identical including the reversed-pair fallback, and full
-// visitation equal to the build side in (cell, dims) order.
+// the build side's full-scan route query and the snapshot — freshly
+// sealed or reopened from a store — must agree on every answer: point
+// lookups byte-identical, corridors element-identical including the
+// reversed-pair fallback and the orientation that answered, the
+// fallback ladder (Resolve) on the same level and bytes, and full
+// visitation equal to the build side in (cell, dims) order. Unit cases
+// pin each rung of the ladder.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +122,7 @@ void ExpectSnapshotMatchesBuildSide(const Sample& sample,
   queries.push_back({200, 201, ais::MarketSegment::kTugAndService});
   for (const RouteKey& q : queries) {
     const auto scan =
-        inv.CellsForRouteScan(q.origin, q.destination, q.segment);
+        inv.CellsForRoute(q.origin, q.destination, q.segment);
     EXPECT_EQ(inv.CellsForRoute(q.origin, q.destination, q.segment), scan)
         << "route " << q.origin << "->" << q.destination;
     EXPECT_EQ(snap.CellsForRoute(q.origin, q.destination, q.segment), scan)
@@ -160,6 +162,55 @@ void ExpectSnapshotMatchesBuildSide(const Sample& sample,
   }
 }
 
+// The query policy InventoryQuery layers over the primitives answers
+// alike on the build side and a snapshot: the corridor and its
+// orientation for every route key, and the fallback ladder's level and
+// summary bytes under ETA's acceptance and under a support threshold
+// that rejects some levels.
+void ExpectPolicyMatchesBuildSide(const Sample& sample,
+                                  const InventorySnapshot& snap) {
+  const Inventory& inv = sample.inventory;
+  std::vector<RouteKey> queries = sample.routes;
+  for (const RouteKey& route : sample.routes) {
+    queries.push_back({route.destination, route.origin, route.segment});
+  }
+  queries.push_back({200, 201, ais::MarketSegment::kTugAndService});
+  for (const RouteKey& q : queries) {
+    const auto want = inv.CorridorForRoute(q.origin, q.destination, q.segment);
+    const auto got = snap.CorridorForRoute(q.origin, q.destination, q.segment);
+    EXPECT_EQ(got.cells, want.cells);
+    EXPECT_EQ(got.origin, want.origin);
+    EXPECT_EQ(got.destination, want.destination);
+    EXPECT_EQ(got.reversed, want.reversed);
+  }
+
+  const auto eta = [](const CellSummary& summary, GroupingSet) {
+    return summary.ata().count() > 0;
+  };
+  const auto supported = [](const CellSummary& summary, GroupingSet) {
+    return summary.record_count() >= 3;
+  };
+  std::vector<hex::CellIndex> probes = sample.cells;
+  probes.push_back(hex::LatLngToCell({80, 0}, 6));
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const RouteKey& route = sample.routes[i % sample.routes.size()];
+    for (const sim::PortId origin : {route.origin, sim::kNoPort}) {
+      const auto want_eta = inv.Resolve(probes[i], route.segment, origin,
+                                        route.destination, eta);
+      const auto got_eta = snap.Resolve(probes[i], route.segment, origin,
+                                        route.destination, eta);
+      EXPECT_EQ(got_eta.level, want_eta.level);
+      EXPECT_EQ(Bytes(got_eta.summary), Bytes(want_eta.summary));
+      const auto want = inv.Resolve(probes[i], route.segment, origin,
+                                    route.destination, supported);
+      const auto got = snap.Resolve(probes[i], route.segment, origin,
+                                    route.destination, supported);
+      EXPECT_EQ(got.level, want.level);
+      EXPECT_EQ(Bytes(got.summary), Bytes(want.summary));
+    }
+  }
+}
+
 // Scan vs snapshot, for a freshly sealed snapshot (heap image) and the
 // same generation reopened from a store (mapped image): both answer
 // every query like the build side, and both hold the same bytes.
@@ -174,6 +225,7 @@ TEST(InventoryQueryPropertyTest, ScanAndSnapshotAgree) {
     const std::shared_ptr<const InventorySnapshot> sealed =
         sample.inventory.Seal();
     ExpectSnapshotMatchesBuildSide(sample, *sealed);
+    ExpectPolicyMatchesBuildSide(sample, *sealed);
 
     store::SnapshotStoreOptions options;
     options.directory =
@@ -184,6 +236,7 @@ TEST(InventoryQueryPropertyTest, ScanAndSnapshotAgree) {
         OpenLatestSnapshot(store);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     ExpectSnapshotMatchesBuildSide(sample, **reopened);
+    ExpectPolicyMatchesBuildSide(sample, **reopened);
 
     std::string sealed_image;
     std::string reopened_image;
@@ -205,7 +258,7 @@ TEST(InventoryQueryPropertyTest, IndexSurvivesMerges) {
     queries.insert(queries.end(), b.routes.begin(), b.routes.end());
     for (const RouteKey& q : queries) {
       const auto scan =
-          merged.CellsForRouteScan(q.origin, q.destination, q.segment);
+          merged.CellsForRoute(q.origin, q.destination, q.segment);
       EXPECT_FALSE(scan.empty()) << "seed " << seed;
       EXPECT_EQ(merged.CellsForRoute(q.origin, q.destination, q.segment),
                 scan)
@@ -214,6 +267,109 @@ TEST(InventoryQueryPropertyTest, IndexSurvivesMerges) {
           << "seed " << seed;
     }
   }
+}
+
+// --- Resolve: one case per rung of the fallback ladder, on the build
+// side and its sealed snapshot alike. ---
+
+constexpr ais::MarketSegment kLadderSegment = ais::MarketSegment::kContainer;
+
+// One cell holding all three levels, each with a distinct record count
+// (route 1, type 2, cell 3), plus a route summary under (kNoPort, 2)
+// that a port-less query must never reach.
+Inventory LadderInventory(hex::CellIndex cell) {
+  SummaryMap summaries;
+  const auto add = [&summaries](const GroupKey& key, int records) {
+    PipelineRecord r;
+    r.ata_s = 1000;
+    for (int i = 0; i < records; ++i) summaries[key].Add(r);
+  };
+  add(KeyCellRouteType(cell, 1, 2, kLadderSegment), 1);
+  add(KeyCellRouteType(cell, sim::kNoPort, 2, kLadderSegment), 4);
+  add(KeyCellType(cell, kLadderSegment), 2);
+  add(KeyCell(cell), 3);
+  return Inventory(6, std::move(summaries));
+}
+
+template <typename Check>
+void OnBothSides(const Check& check) {
+  const hex::CellIndex cell = hex::LatLngToCell({1.3, 103.8}, 6);
+  const Inventory inv = LadderInventory(cell);
+  check(static_cast<const InventoryQuery&>(inv), cell);
+  check(static_cast<const InventoryQuery&>(*inv.Seal()), cell);
+}
+
+TEST(InventoryQueryResolveTest, RouteLevelAnswersWhenBothPortsAreGiven) {
+  OnBothSides([](const InventoryQuery& q, hex::CellIndex cell) {
+    std::vector<GroupingSet> offered;
+    const auto resolved = q.Resolve(
+        cell, kLadderSegment, 1, 2,
+        [&offered](const CellSummary&, GroupingSet level) {
+          offered.push_back(level);
+          return true;
+        });
+    ASSERT_NE(resolved.summary, nullptr);
+    EXPECT_EQ(resolved.level, GroupingSet::kCellRouteType);
+    EXPECT_EQ(resolved.summary->record_count(), 1u);
+    EXPECT_EQ(offered, std::vector<GroupingSet>{GroupingSet::kCellRouteType});
+  });
+}
+
+TEST(InventoryQueryResolveTest, RouteLevelIsSkippedWithoutBothPorts) {
+  OnBothSides([](const InventoryQuery& q, hex::CellIndex cell) {
+    const auto take = [](const CellSummary&, GroupingSet) { return true; };
+    for (const auto& [origin, destination] :
+         {std::pair<sim::PortId, sim::PortId>{sim::kNoPort, 2},
+          std::pair<sim::PortId, sim::PortId>{1, sim::kNoPort}}) {
+      const auto resolved =
+          q.Resolve(cell, kLadderSegment, origin, destination, take);
+      ASSERT_NE(resolved.summary, nullptr);
+      EXPECT_EQ(resolved.level, GroupingSet::kCellType);
+      EXPECT_EQ(resolved.summary->record_count(), 2u);
+    }
+  });
+}
+
+TEST(InventoryQueryResolveTest, RejectedLevelFallsThroughToTheNext) {
+  OnBothSides([](const InventoryQuery& q, hex::CellIndex cell) {
+    std::vector<GroupingSet> offered;
+    const auto resolved = q.Resolve(
+        cell, kLadderSegment, 1, 2,
+        [&offered](const CellSummary& summary, GroupingSet level) {
+          offered.push_back(level);
+          return summary.record_count() >= 3;
+        });
+    ASSERT_NE(resolved.summary, nullptr);
+    EXPECT_EQ(resolved.level, GroupingSet::kCell);
+    EXPECT_EQ(resolved.summary->record_count(), 3u);
+    EXPECT_EQ(offered,
+              (std::vector<GroupingSet>{GroupingSet::kCellRouteType,
+                                        GroupingSet::kCellType,
+                                        GroupingSet::kCell}));
+    // An absent level is not offered: another segment has no route or
+    // type summary here, so the cell answers first time.
+    offered.clear();
+    const auto other = q.Resolve(
+        cell, ais::MarketSegment::kTanker, 1, 2,
+        [&offered](const CellSummary&, GroupingSet level) {
+          offered.push_back(level);
+          return true;
+        });
+    EXPECT_EQ(other.level, GroupingSet::kCell);
+    EXPECT_EQ(offered, std::vector<GroupingSet>{GroupingSet::kCell});
+  });
+}
+
+TEST(InventoryQueryResolveTest, NoAcceptedLevelIsANullSummary) {
+  OnBothSides([](const InventoryQuery& q, hex::CellIndex cell) {
+    const auto reject = [](const CellSummary&, GroupingSet) { return false; };
+    EXPECT_EQ(q.Resolve(cell, kLadderSegment, 1, 2, reject).summary, nullptr);
+    const auto take = [](const CellSummary&, GroupingSet) { return true; };
+    EXPECT_EQ(q.Resolve(hex::LatLngToCell({80, 0}, 6), kLadderSegment, 1, 2,
+                        take)
+                  .summary,
+              nullptr);
+  });
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(InventorySnapshotTest, LookupsMatchBuildSide) {
   EXPECT_EQ(snap->CellType(cell_b, ais::MarketSegment::kTanker), nullptr);
 }
 
-TEST(InventorySnapshotTest, RouteIndexAnswersBothOrientations) {
+TEST(InventorySnapshotTest, RouteSectionsAnswerBothOrientations) {
   const Inventory inv = SmallInventory();
   const std::shared_ptr<const InventorySnapshot> snap = inv.Seal();
   const auto forward =

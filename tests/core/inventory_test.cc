@@ -126,7 +126,7 @@ TEST(InventoryTest, CellsForRouteAnswersReversedPortPairs) {
   // in either orientation.
   EXPECT_TRUE(inv.CellsForRoute(21, 3, ais::MarketSegment::kTanker).empty());
   // The scan reference path implements the same contract.
-  EXPECT_EQ(inv.CellsForRouteScan(21, 3, ais::MarketSegment::kContainer),
+  EXPECT_EQ(inv.CellsForRoute(21, 3, ais::MarketSegment::kContainer),
             forward);
 }
 

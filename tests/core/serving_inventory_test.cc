@@ -145,9 +145,9 @@ TEST(ServingInventoryTest, ReadersNeverSeeTornSnapshotsAcrossSwaps) {
                                [&visited](const GroupKey&,
                                           const CellSummary&) { ++visited; });
         if (visited != corridor.size()) torn.fetch_add(1);
-        // And the delegating interface path (thread-local anchoring).
+        // And a fresh Acquire per lookup.
         for (const hex::CellIndex cell : corridor) {
-          if (serving.Cell(cell) == nullptr) torn.fetch_add(1);
+          if (serving.Acquire()->Cell(cell) == nullptr) torn.fetch_add(1);
         }
         reads.fetch_add(1, std::memory_order_relaxed);
       }

@@ -133,7 +133,7 @@ TEST(ServingGuardTest, InfiniteDeadlineAnswersLikeTheRawStore) {
   EXPECT_EQ(corridor.value().size(), 4u);
   EXPECT_EQ(visited, corridor.value().size());
   EXPECT_EQ(corridor.value(),
-            store.CellsForRoute(kOrigin, kDestination, kSegment));
+            store.Acquire()->CellsForRoute(kOrigin, kDestination, kSegment));
 }
 
 TEST(ServingGuardTest, SaturatedClassShedsInsteadOfQueueingForever) {

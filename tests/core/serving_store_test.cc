@@ -124,8 +124,9 @@ TEST_F(ServingStoreTest, RefreshPublishesToAttachedStore) {
       OpenLatestSnapshot(store);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_EQ((*mapped)->size(), serving.size());
-  EXPECT_EQ(Corridor(**mapped), Corridor(serving));
-  EXPECT_EQ(Corridor(serving), 12u);  // 3 batches x 4 disjoint cells.
+  EXPECT_EQ(Corridor(**mapped), Corridor(*serving.Acquire()));
+  // 3 batches x 4 disjoint cells.
+  EXPECT_EQ(Corridor(*serving.Acquire()), 12u);
 }
 
 TEST_F(ServingStoreTest, ColdStartServesWithoutSealing) {
@@ -142,7 +143,7 @@ TEST_F(ServingStoreTest, ColdStartServesWithoutSealing) {
       ServingInventory::OpenLatest(restarted, &generation);
   ASSERT_TRUE(serving.ok()) << serving.status().ToString();
   EXPECT_EQ(generation, 1u);
-  EXPECT_EQ(Corridor(**serving), 8u);
+  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 8u);
   EXPECT_EQ((*serving)->DistinctCells(), 8u);
   // The cold-started process keeps refreshing and publishing.
   (*serving)->AttachDurableStore(&restarted);
@@ -150,7 +151,7 @@ TEST_F(ServingStoreTest, ColdStartServesWithoutSealing) {
   EXPECT_EQ(restarted.ListGenerations(), (std::vector<uint64_t>{1, 2}));
   // The refresh sealed from the (empty) build side plus the new delta —
   // the documented caveat of the empty-base overload.
-  EXPECT_EQ(Corridor(**serving), 4u);
+  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 4u);
 }
 
 TEST_F(ServingStoreTest, ColdStartWithRestoredBaseRefreshesFully) {
@@ -168,10 +169,11 @@ TEST_F(ServingStoreTest, ColdStartWithRestoredBaseRefreshesFully) {
   const Result<std::unique_ptr<ServingInventory>> serving =
       ServingInventory::OpenLatest(restarted, std::move(base));
   ASSERT_TRUE(serving.ok()) << serving.status().ToString();
-  EXPECT_EQ(Corridor(**serving), 8u);
+  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 8u);
   (*serving)->AttachDurableStore(&restarted);
   ASSERT_TRUE((*serving)->Refresh(Batch(2, 4)).ok());
-  EXPECT_EQ(Corridor(**serving), 12u);  // Full history, not just deltas.
+  // Full history, not just deltas.
+  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 12u);
 }
 
 TEST_F(ServingStoreTest, ColdStartResolutionMismatchFails) {
@@ -212,12 +214,12 @@ TEST_F(ServingStoreTest, PublishFailureKeepsReadersOnOldSnapshot) {
   // Durability before visibility: no swap happened, readers still see
   // the last durable snapshot, and the store gained no generation.
   EXPECT_EQ(serving.swap_count(), swaps_before);
-  EXPECT_EQ(Corridor(serving), 8u);
+  EXPECT_EQ(Corridor(*serving.Acquire()), 8u);
   EXPECT_EQ(store.ListGenerations(), (std::vector<uint64_t>{1}));
 
   // The retry publishes the merged delta plus the new one.
   ASSERT_TRUE(serving.Refresh(Batch(3, 4)).ok());
-  EXPECT_EQ(Corridor(serving), 16u);
+  EXPECT_EQ(Corridor(*serving.Acquire()), 16u);
   EXPECT_EQ(store.ListGenerations(), (std::vector<uint64_t>{1, 2}));
 }
 
@@ -258,7 +260,7 @@ TEST_F(ServingStoreTest, KillDuringPublishRecoversPreviousGeneration) {
       ServingInventory::OpenLatest(restarted, &generation);
   ASSERT_TRUE(serving.ok()) << serving.status().ToString();
   EXPECT_EQ(generation, 1u);
-  EXPECT_EQ(Corridor(**serving), 8u);
+  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 8u);
   if (obs::kEnabled) {
     EXPECT_EQ(Fallbacks(), fallbacks_before + 1);
   }

@@ -23,7 +23,6 @@
 #include "core/group_key.h"
 #include "core/inventory.h"
 #include "core/inventory_snapshot.h"
-#include "core/route_index.h"
 #include "core/snapshot_codec.h"
 #include "hexgrid/hexgrid.h"
 #include "store/snapshot_format.h"
@@ -226,7 +225,7 @@ Payloads ValidPayloads() {
     store::AppendU64(&p.offsets[static_cast<size_t>(s)], 0);
   }
   store::AppendU64(
-      &p.spans, RouteIndex::PackRouteKey(3, 21, ais::MarketSegment::kContainer));
+      &p.spans, PackRouteKey(3, 21, ais::MarketSegment::kContainer));
   store::AppendU64(&p.spans, 0);  // begin
   store::AppendU64(&p.spans, 1);  // end
   store::AppendU64(&p.route_cells, 100);
@@ -353,7 +352,7 @@ TEST_F(SnapshotHostileTest, RouteSpanOutOfBounds) {
   Payloads p = ValidPayloads();
   p.spans.clear();
   store::AppendU64(
-      &p.spans, RouteIndex::PackRouteKey(3, 21, ais::MarketSegment::kContainer));
+      &p.spans, PackRouteKey(3, 21, ais::MarketSegment::kContainer));
   store::AppendU64(&p.spans, 0);
   store::AppendU64(&p.spans, 7);  // end > route cell count (1)
   EXPECT_EQ(OpenHostile(p).code(), StatusCode::kDataLoss);

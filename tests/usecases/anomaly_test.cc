@@ -75,6 +75,8 @@ TEST(AnomalyTest, ThinHistoryCountsAsOffLane) {
   const auto assessment = detector.Assess(kLaneCenter, 10.0, 80.0,
                                           ais::MarketSegment::kContainer);
   EXPECT_TRUE(assessment.off_lane);
+  // The support reported is the thin all-traffic summary's.
+  EXPECT_EQ(assessment.cell_support, 1u);
 }
 
 TEST(AnomalyTest, SpeedOutlierFlagged) {

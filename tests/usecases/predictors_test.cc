@@ -252,5 +252,46 @@ TEST(RouteForecasterTest, DisconnectedGraphFails) {
   EXPECT_EQ(forecast.status().code(), StatusCode::kNotFound);
 }
 
+TEST(RouteForecasterTest, ForecastsAlongCorridorRecordedTheOtherWay) {
+  // Port 1 at lng 0, port 2 at lng 8. The corridor is recorded only as
+  // 2 -> 1 (westbound); the vessel sails 1 -> 2.
+  sim::Port west;
+  west.name = "West";
+  west.position = {0.0, 0.0};
+  west.geofence_radius_km = 10.0;
+  sim::Port east = west;
+  east.name = "East";
+  east.position = {0.0, 8.0};
+  const sim::PortDatabase ports({west, east});
+
+  // Cells wider apart than the forecaster's gap bridge, so only the
+  // recorded transitions can connect them.
+  std::vector<hex::CellIndex> chain;
+  for (int i = 0; i <= 32; ++i) {
+    chain.push_back(hex::LatLngToCell({0.0, 0.25 * i}, 6));
+  }
+  for (size_t i = 1; i < chain.size(); ++i) {
+    ASSERT_GT(geo::HaversineKm(hex::CellToLatLng(chain[i - 1]),
+                               hex::CellToLatLng(chain[i])),
+              hex::EdgeLengthKm(6) * 4.5);
+  }
+  core::SummaryMap summaries;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    core::PipelineRecord r = Record(1, 2, 1, 1000);
+    if (i > 0) r.next_cell = chain[i - 1];  // Westbound transitions.
+    summaries.try_emplace(core::KeyCellRouteType(chain[i], 2, 1, kSeg))
+        .first->second.Add(r);
+  }
+  const core::Inventory inv(6, std::move(summaries));
+  const RouteForecaster forecaster(&inv, &ports);
+
+  const auto forecast = forecaster.Forecast({0.0, 1.0}, 1, 2, kSeg);
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_EQ(forecast->cells.front(), chain[4]);
+  EXPECT_EQ(forecast->cells.back(), chain.back());
+  EXPECT_EQ(forecast->cells.size(), chain.size() - 4);
+  EXPECT_EQ(forecast->graph_edges, chain.size() - 1);
+}
+
 }  // namespace
 }  // namespace pol::uc

@@ -5,7 +5,7 @@
 //                                          snapshot index sizes
 //   polinv query <file> <lat> <lng>        Table-3 summary of the cell
 //   polinv route <file> <o> <d> <segment>  corridor cells of a route key
-//                                          (indexed CellsForRoute path)
+//                                          (seal-time route sections)
 //   polinv top <file> <n>                  n busiest cells
 //   polinv export <file>                   CSV of the (cell) grouping set
 //   polinv geojson <file> [min_records]    cell polygons as GeoJSON
@@ -214,22 +214,18 @@ int CmdRoute(const core::InventoryQuery& inv, const char* origin_arg,
                  ais::kNumMarketSegments - 1);
     return 1;
   }
-  const std::vector<hex::CellIndex> cells =
-      inv.CellsForRoute(origin, destination, segment);
+  const core::InventoryQuery::RouteCorridor corridor =
+      inv.CorridorForRoute(origin, destination, segment);
   std::printf("route %u -> %u [%.*s]: %zu corridor cells\n",
               static_cast<unsigned>(origin), static_cast<unsigned>(destination),
               static_cast<int>(ais::MarketSegmentName(segment).size()),
-              ais::MarketSegmentName(segment).data(), cells.size());
+              ais::MarketSegmentName(segment).data(), corridor.cells.size());
   std::printf("%-22s %-26s %-10s %s\n", "cell", "centre", "records",
               "speed_mean");
-  for (const hex::CellIndex cell : cells) {
-    const core::CellSummary* s =
-        inv.CellRouteType(cell, origin, destination, segment);
-    if (s == nullptr) {
-      // Answered via the reversed-pair fallback: the summaries live
-      // under the opposite key orientation.
-      s = inv.CellRouteType(cell, destination, origin, segment);
-    }
+  for (const hex::CellIndex cell : corridor.cells) {
+    // The summaries live under the orientation that answered.
+    const core::CellSummary* s = inv.CellRouteType(
+        cell, corridor.origin, corridor.destination, segment);
     std::printf("%-22s %-26s %-10llu %.2f\n", hex::CellToString(cell).c_str(),
                 hex::CellToLatLng(cell).ToString().c_str(),
                 static_cast<unsigned long long>(s ? s->record_count() : 0),
