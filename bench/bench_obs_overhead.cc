@@ -7,18 +7,23 @@
 //             the layer compiled to no-ops)
 //   traced  - trace recording on plus run-report emission
 //
-// The acceptance bar is `traced` within 2% of `idle`, estimated as the
-// median of per-round paired wall-clock ratios (adjacent runs share
-// machine state, so ambient load cancels inside a pair); the bench
-// exits non-zero past the threshold so tools/run_tier1.sh --obs gates
-// on it.
+// The acceptance bar is `traced` within 2% of `idle`, read by
+// bench::CompareInterleaved as the median paired slice ratio: a slice
+// is one whole pipeline run, the two shapes run back to back and take
+// turns going first, so adjacent runs share the machine's state and
+// ambient load cancels inside a pair; a block that misses the bar runs
+// another into the same estimate. Each slice returns a checksum of the
+// built inventory's bytes, so the two shapes are checked against each
+// other. The bench exits non-zero past the threshold so
+// tools/run_tier1.sh --obs gates on it.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/pipeline.h"
@@ -31,7 +36,9 @@
 namespace pol {
 namespace {
 
+// One slice per round: a slice is already a whole pipeline run.
 constexpr int kRounds = 9;
+constexpr int kSlicesPerRound = 1;
 constexpr double kMaxOverhead = 0.02;
 
 // Windowed-telemetry micro-timings: ns per record for the serving-path
@@ -114,38 +121,34 @@ int Run(int argc, char** argv) {
   traced_config.obs.trace_path = out_dir + "/trace.json";
   traced_config.obs.report_path = out_dir + "/report.json";
 
-  // One untimed warmup per shape first (page cache, allocator pools,
-  // lazy singletons). Then paired rounds: each round times the two
-  // shapes back to back and keeps their ratio — adjacent runs share
-  // machine state (load bursts, turbo level), so the noise that
-  // dominates absolute wall clock cancels inside a pair. The estimate
-  // is the median ratio, which discards rounds where a burst hit only
-  // one half of the pair.
-  core::RunPipeline(archive.reports, archive.fleet, idle_config);
-  core::RunPipeline(archive.reports, archive.fleet, traced_config);
-  double idle_s = 1e300;
-  double traced_s = 1e300;
-  std::vector<double> ratios;
-  ratios.reserve(kRounds);
-  for (int round = 0; round < kRounds; ++round) {
-    const double idle_round = bench::TimeSeconds([&] {
-      core::RunPipeline(archive.reports, archive.fleet, idle_config);
-    });
-    const double traced_round = bench::TimeSeconds([&] {
-      core::RunPipeline(archive.reports, archive.fleet, traced_config);
-    });
-    idle_s = std::min(idle_s, idle_round);
-    traced_s = std::min(traced_s, traced_round);
-    ratios.push_back(traced_round / idle_round);
+  // One pipeline run; returns a checksum of the inventory's bytes.
+  const auto build = [&](const core::PipelineConfig& config) -> uint64_t {
+    const core::PipelineResult result =
+        core::RunPipeline(archive.reports, archive.fleet, config);
+    std::string bytes;
+    result.inventory->SerializeTo(&bytes);
+    return std::hash<std::string>{}(bytes);
+  };
+  enum : size_t { kIdle, kTraced };
+  const bench::Comparison result = bench::CompareInterleaved(
+      {{"idle", [&] { return build(idle_config); }},
+       {"traced", [&] { return build(traced_config); }}},
+      {{kTraced, kIdle, 1.0 + kMaxOverhead, bench::Estimator::kMedianPaired}},
+      kRounds, kSlicesPerRound);
+  std::filesystem::remove_all(out_dir);
+  if (result.diverged) {
+    std::fprintf(stderr, "FAIL: idle and traced runs built different "
+                         "inventories\n");
+    return 1;
   }
-  std::sort(ratios.begin(), ratios.end());
-  const double median_ratio = ratios[ratios.size() / 2];
 
-  const double overhead = median_ratio - 1.0;
-  std::printf("idle   (no outputs):      %.4f s (min of %d)\n", idle_s,
-              kRounds);
-  std::printf("traced (trace + report):  %.4f s (min of %d)\n", traced_s,
-              kRounds);
+  const double idle_s = result.min_s[kIdle];
+  const double traced_s = result.min_s[kTraced];
+  const double overhead = result.ratios[0] - 1.0;
+  std::printf("idle   (no outputs):      %.4f s (min of %d rounds x %d "
+              "block(s))\n",
+              idle_s, kRounds, result.blocks);
+  std::printf("traced (trace + report):  %.4f s (same)\n", traced_s);
   std::printf("overhead:                 %s (median paired ratio, bar: %s)\n",
               bench::FormatPercent(overhead).c_str(),
               bench::FormatPercent(kMaxOverhead).c_str());
@@ -163,6 +166,7 @@ int Run(int argc, char** argv) {
 
   summary.Set("records", static_cast<uint64_t>(archive.reports.size()));
   summary.Set("rounds", kRounds);
+  summary.Set("blocks", result.blocks);
   summary.Set("obs_enabled", obs::kEnabled);
   summary.Set("idle_s", idle_s);
   summary.Set("traced_s", traced_s);
@@ -176,8 +180,7 @@ int Run(int argc, char** argv) {
   summary.Set("windowed_record_ns", std::move(windowed));
   const int written = summary.Write();
 
-  std::filesystem::remove_all(out_dir);
-  if (overhead > kMaxOverhead) {
+  if (!result.met) {
     std::fprintf(stderr, "FAIL: observability overhead %.2f%% exceeds %.2f%%\n",
                  overhead * 100.0, kMaxOverhead * 100.0);
     return 1;

@@ -118,7 +118,8 @@ class Status {
   // shed load and a temporarily unavailable store), false for caller
   // errors that will fail identically on every attempt (invalid
   // arguments, failed preconditions, exhausted deadlines, ...). This is
-  // the one retryability authority: flow::StageRunner's retry loop and
+  // the one retryability authority: the chunk retry loop of
+  // flow::StageRunner (a chunk step's error, see core/pipeline.h) and
   // the serving-side refresh circuit breaker (core/serving_guard.h)
   // both consult it.
   bool IsRetryable() const { return StatusCodeIsRetryable(code_); }

@@ -29,6 +29,8 @@ struct CleaningStats {
   uint64_t infeasible_jumps = 0;
   uint64_t kept = 0;
 
+  bool operator==(const CleaningStats&) const = default;
+
   void Accumulate(const CleaningStats& other) {
     input += other.input;
     invalid_fields += other.invalid_fields;
@@ -41,8 +43,8 @@ struct CleaningStats {
 // Splits a raw archive into `chunks` vessel-coherent chunks over
 // `partitions` hash partitions in total: every record of a vessel lands
 // in the same partition, and each chunk holds a contiguous, balanced
-// group of those partitions. This is the chunk source of the stage
-// graph — because chunk boundaries coincide with partition boundaries
+// group of those partitions. This is the pipeline's chunk source —
+// because chunk boundaries coincide with partition boundaries
 // of the single global partitioning, running the per-partition stages
 // chunk by chunk and folding results in ascending chunk order is
 // bit-identical to one monolithic run (see dataset.h).

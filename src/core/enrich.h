@@ -15,13 +15,22 @@
 
 namespace pol::core {
 
-// Stats ACCUMULATE across Enrich calls (the stage graph enriches chunk
-// by chunk); pass a fresh struct for single-call totals.
+// Stats ACCUMULATE across Enrich calls (the pipeline enriches chunk by
+// chunk); pass a fresh struct for single-call totals.
 struct EnrichmentStats {
   uint64_t input = 0;
   uint64_t unknown_vessel = 0;
   uint64_t non_commercial = 0;
   uint64_t kept = 0;
+
+  bool operator==(const EnrichmentStats&) const = default;
+
+  void Accumulate(const EnrichmentStats& other) {
+    input += other.input;
+    unknown_vessel += other.unknown_vessel;
+    non_commercial += other.non_commercial;
+    kept += other.kept;
+  }
 };
 
 class Enricher {

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/inventory_builder.h"
 #include "hexgrid/hexgrid.h"
 
 namespace pol::core {
@@ -47,13 +46,6 @@ void SpliceSummaries(SummaryMap* into, SummaryMap* from) {
     into->insert(from->extract(node));
   }
   from->clear();
-}
-
-SummaryMap ExtractFeatures(const flow::Dataset<PipelineRecord>& projected,
-                           const ExtractorConfig& config) {
-  InventoryBuilder builder(config);
-  builder.Fold(projected);
-  return std::move(builder).TakeSummaries();
 }
 
 }  // namespace pol::core

@@ -8,15 +8,15 @@
 #include "core/records.h"
 #include "flow/dataset.h"
 
-// Projection to the spatial index (paper section 3.3.3) and feature
-// extraction over the grouping sets (section 3.3.4).
+// Projection to the spatial index (paper section 3.3.3) and the
+// extraction config over the grouping sets (section 3.3.4).
 //
 // Projection assigns each record its grid cell and, preserving the
 // in-trip message order, the next distinct cell (the raw material of the
-// Transitions feature). Extraction is a MapReduce over GroupKeys: local
-// per-partition maps (map phase) merged bucket-parallel in ascending
-// partition order (reduce phase) — the same structure Spark gives the
-// original system.
+// Transitions feature). Extraction itself is InventoryBuilder::Fold
+// (inventory_builder.h): a MapReduce over GroupKeys whose local
+// per-partition maps merge in ascending partition order — the same
+// structure Spark gives the original system.
 
 namespace pol::core {
 
@@ -42,12 +42,6 @@ void SpliceSummaries(SummaryMap* into, SummaryMap* from);
 // must be vessel-partitioned and time-sorted (ExtractTrips output).
 flow::Dataset<PipelineRecord> ProjectToGrid(
     const flow::Dataset<PipelineRecord>& records, int resolution);
-
-// Aggregates projected records into per-group summaries in one shot.
-// (Single-Fold convenience over InventoryBuilder — see
-// inventory_builder.h for the incremental, chunk-by-chunk form.)
-SummaryMap ExtractFeatures(const flow::Dataset<PipelineRecord>& projected,
-                           const ExtractorConfig& config);
 
 }  // namespace pol::core
 

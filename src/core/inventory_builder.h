@@ -11,17 +11,17 @@
 #include "core/inventory.h"
 #include "flow/stage.h"
 
-// Incremental inventory construction — the terminal stage of the
-// pipeline graph. The builder owns the growing SummaryMap; each Fold
-// call aggregates one chunk of projected records into it (map phase
-// parallel over the chunk's partitions, reduce phase folded in
-// ascending partition order), and Finish seals the result into an
-// Inventory.
+// Incremental inventory construction — feature extraction (paper
+// §3.3.4), the pipeline's sink after the chunk step (ChunkProcessor in
+// pipeline.h). The builder owns the growing SummaryMap; each Fold call
+// aggregates one chunk of projected records into it (map phase parallel
+// over the chunk's partitions, reduce phase folded in ascending
+// partition order), and Finish seals the result into an Inventory.
 //
 // Determinism contract: folding chunks in ascending chunk order is
 // bit-identical to a single Fold over the union of the chunks, as long
 // as the chunks are a partition-ordered split of one global vessel
-// partitioning (SplitReportsByVessel + the stage chain produce exactly
+// partitioning (SplitReportsByVessel + ChunkProcessor produce exactly
 // that). This is what makes chunked builds reproduce the single-shot
 // serialized inventory byte for byte, and lets new data batches fold
 // into an existing build without reprocessing the archive.
@@ -70,9 +70,6 @@ class InventoryBuilder {
   Inventory Finish() && {
     return Inventory(config_.resolution, std::move(summaries_));
   }
-
-  // As Finish, but hands back the raw map (ExtractFeatures compat).
-  SummaryMap TakeSummaries() && { return std::move(summaries_); }
 
  private:
   ExtractorConfig config_;

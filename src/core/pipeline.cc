@@ -9,11 +9,59 @@
 #include "common/logging.h"
 #include "core/inventory_builder.h"
 #include "core/run_report.h"
-#include "core/stages.h"
 #include "obs/clock.h"
 #include "obs/trace.h"
 
 namespace pol::core {
+
+ChunkProcessor::ChunkProcessor(const CleaningConfig& cleaning,
+                               const std::vector<ais::VesselInfo>& registry,
+                               bool commercial_only,
+                               const sim::PortDatabase* ports,
+                               int geofence_resolution, int resolution)
+    : cleaning_(cleaning),
+      enricher_(registry),
+      commercial_only_(commercial_only),
+      geofencer_(ports, geofence_resolution),
+      resolution_(resolution) {}
+
+Result<ProcessedChunk> ChunkProcessor::Run(
+    flow::Dataset<ais::PositionReport> chunk,
+    flow::StageMetricsCollector* metrics) const {
+  using Records = flow::Dataset<PipelineRecord>;
+  // Stats of this attempt only: a failed attempt returns before its
+  // stats reach the caller.
+  CleaningStats cleaning;
+  EnrichmentStats enrichment;
+  TripStats trips;
+  POL_ASSIGN_OR_RETURN(
+      Records cleaned,
+      flow::RunStage<PipelineRecord>(
+          "cleaning", 0, std::move(chunk), metrics,
+          [&](const flow::Dataset<ais::PositionReport>& in) {
+            return CleanChunk(in, cleaning_, &cleaning);
+          }));
+  POL_ASSIGN_OR_RETURN(
+      Records enriched,
+      flow::RunStage<PipelineRecord>(
+          "enrichment", 1, std::move(cleaned), metrics,
+          [&](const Records& in) {
+            return enricher_.Enrich(in, commercial_only_, &enrichment);
+          }));
+  POL_ASSIGN_OR_RETURN(
+      Records tripped,
+      flow::RunStage<PipelineRecord>(
+          "trips", 2, std::move(enriched), metrics, [&](const Records& in) {
+            return ExtractTrips(in, geofencer_, &trips);
+          }));
+  POL_ASSIGN_OR_RETURN(
+      Records projected,
+      flow::RunStage<PipelineRecord>(
+          "projection", 3, std::move(tripped), metrics,
+          [&](const Records& in) { return ProjectToGrid(in, resolution_); }));
+  return ProcessedChunk{std::move(projected), cleaning, enrichment, trips};
+}
+
 namespace {
 
 // Converts a live dead letter to its persisted form and back, so a
@@ -52,22 +100,14 @@ PipelineResult RunPipelineImpl(
 
   flow::ThreadPool pool(config.threads);
 
-  // The stage graph: one instance of each stage serves every chunk.
+  // One processor serves every chunk.
   CleaningConfig cleaning_config;
   cleaning_config.partitions = config.partitions;
   cleaning_config.max_speed_knots = config.max_speed_knots;
-  auto cleaning = std::make_shared<CleaningStage>(cleaning_config);
-  auto enrichment =
-      std::make_shared<EnrichmentStage>(registry, config.commercial_only);
-  auto trips =
-      std::make_shared<TripStage>(ports, config.geofence_resolution);
-  auto projection = std::make_shared<ProjectionStage>(config.resolution);
-
-  flow::StageChain<ais::PositionReport, PipelineRecord> chain =
-      flow::StageChain<ais::PositionReport, PipelineRecord>(cleaning)
-          .Then<PipelineRecord>(enrichment)
-          .Then<PipelineRecord>(trips)
-          .Then<PipelineRecord>(projection);
+  const ChunkProcessor processor(cleaning_config, registry,
+                                 config.commercial_only, ports,
+                                 config.geofence_resolution,
+                                 config.resolution);
 
   // Chunk source: one global vessel partitioning, sliced into
   // vessel-coherent chunks so per-vessel scans see whole trajectories
@@ -128,13 +168,18 @@ PipelineResult RunPipelineImpl(
     // could.
   }
 
-  flow::StageRunner<ais::PositionReport, PipelineRecord>::Options options;
+  using Runner = flow::StageRunner<ais::PositionReport, ProcessedChunk>;
+  Runner::Options options;
   options.max_in_flight = config.max_in_flight_chunks;
   options.max_attempts = config.max_attempts;
   options.retry_backoff_seconds = config.retry_backoff_seconds;
   options.fail_fast = config.fail_fast;
-  flow::StageRunner<ais::PositionReport, PipelineRecord> runner(
-      std::move(chain), &pool, options);
+  flow::StageMetricsCollector stage_metrics;
+  Runner runner(
+      [&](flow::Dataset<ais::PositionReport> chunk) {
+        return processor.Run(std::move(chunk), &stage_metrics);
+      },
+      &pool, options);
 
   const size_t total_chunks = chunks.size();
   size_t cursor = start_chunk;
@@ -163,8 +208,13 @@ PipelineResult RunPipelineImpl(
 
   flow::RunSummary summary = runner.Run(
       std::move(chunks),
-      [&](size_t, flow::Dataset<PipelineRecord> projected) -> Status {
-        builder.Fold(projected);
+      [&](size_t, ProcessedChunk chunk) -> Status {
+        // Runs on this thread in chunk order: the stats sum needs no
+        // lock and counts each folded chunk once.
+        result.cleaning.Accumulate(chunk.cleaning);
+        result.enrichment.Accumulate(chunk.enrichment);
+        result.trips.Accumulate(chunk.trips);
+        builder.Fold(chunk.records);
         ++cursor;
         return maybe_checkpoint();
       },
@@ -187,11 +237,8 @@ PipelineResult RunPipelineImpl(
     result.quarantined.push_back(std::move(failure));
   }
 
-  result.cleaning = cleaning->stats();
-  result.enrichment = enrichment->stats();
-  result.trips = trips->stats();
   result.aggregated_records = builder.records_folded();
-  result.stage_metrics = runner.metrics();
+  result.stage_metrics = stage_metrics.Snapshot();
   result.stage_metrics.push_back(builder.metrics());
   result.inventory =
       std::make_unique<Inventory>(std::move(builder).Finish());

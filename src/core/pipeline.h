@@ -10,8 +10,10 @@
 #include "core/checkpoint.h"
 #include "core/cleaning.h"
 #include "core/enrich.h"
+#include "core/geofence.h"
 #include "core/inventory.h"
 #include "core/trips.h"
+#include "flow/dataset.h"
 #include "flow/stage.h"
 #include "flow/stage_runner.h"
 #include "flow/threadpool.h"
@@ -21,21 +23,25 @@
 // paper): cleaning -> enrichment -> trips -> grid projection -> feature
 // extraction -> global inventory.
 //
-// Execution is a chunked stage graph (flow::StageChain driven by a
-// flow::StageRunner; see stages.h and inventory_builder.h): the archive
-// is split into `chunks` vessel-coherent chunks, stages overlap across
-// chunks on the shared thread pool, and the inventory is folded
+// Execution is one chunk step (ChunkProcessor: clean -> enrich -> trips
+// -> project) driven over the archive by a flow::StageRunner, with
+// InventoryBuilder::Fold as the sink (see inventory_builder.h): the
+// archive is split into `chunks` vessel-coherent chunks, steps overlap
+// across chunks on the shared thread pool, and the inventory is folded
 // incrementally in ascending chunk order. Any chunk count yields a
 // byte-identical serialized inventory (property-tested), so the chunk
 // count is purely a peak-memory/overlap knob.
 //
 // Failure containment (see stage_runner.h and checkpoint.h): a chunk
-// whose stage chain errors is retried `max_attempts` times and then
+// whose step errors is retried `max_attempts` times and then
 // quarantined — the run continues and PipelineResult::coverage reports
-// exactly what was folded, quarantined, and dropped. With checkpointing
-// configured, builder state is snapshotted every `interval_chunks`
-// accounted chunks, and a rerun over the same input resumes from the
-// newest valid snapshot instead of starting over.
+// exactly what was folded, quarantined, and dropped. The cleaning,
+// enrichment and trip stats count folded chunks only: a failed attempt's
+// stats are dropped with it, so a retried chunk counts once and a
+// quarantined one not at all. With checkpointing configured, builder
+// state is snapshotted every `interval_chunks` accounted chunks, and a
+// rerun over the same input resumes from the newest valid snapshot
+// instead of starting over.
 
 namespace pol::core {
 
@@ -105,6 +111,8 @@ struct PipelineResult {
   // End-to-end wall time of the RunPipeline call, set on every return
   // path (including aborted runs).
   double wall_seconds = 0.0;
+  // Step stats of the chunks folded by this call (not of restored or
+  // quarantined chunks).
   CleaningStats cleaning;
   EnrichmentStats enrichment;
   TripStats trips;
@@ -114,7 +122,7 @@ struct PipelineResult {
   // index, including entries restored from a snapshot.
   std::vector<flow::ChunkFailure> quarantined;
   // Per-stage observability, in stage order: cleaning, enrichment,
-  // trips, projection, extraction. Each entry carries chunk count,
+  // trips, projection, extraction. Each entry carries chunk attempts,
   // records in/out, drop count, peak partition size, summed wall time
   // and failure counts (see flow::StageMetrics; flow::StageMetricsTable
   // renders it).
@@ -125,10 +133,46 @@ struct PipelineResult {
   }
 };
 
-// Runs the whole pipeline over an AIS archive and a vessel registry —
-// a thin wrapper assembling the stage graph from stages.h and running
-// it over `config.chunks` chunks, with retry/quarantine/checkpoint
-// handling per the config.
+// One chunk after clean -> enrich -> trips -> project: the projected
+// records and what each step counted on the way.
+struct ProcessedChunk {
+  flow::Dataset<PipelineRecord> records;
+  CleaningStats cleaning;
+  EnrichmentStats enrichment;
+  TripStats trips;
+};
+
+// The pipeline's chunk step (paper §3.3.1–3.3.3). Built once per run;
+// Run is const, so one processor serves every chunk in flight. Chunks
+// must come from SplitReportsByVessel (vessel-coherent,
+// partition-ordered) for the per-vessel scans to see whole trajectories.
+class ChunkProcessor {
+ public:
+  ChunkProcessor(const CleaningConfig& cleaning,
+                 const std::vector<ais::VesselInfo>& registry,
+                 bool commercial_only, const sim::PortDatabase* ports,
+                 int geofence_resolution, int resolution);
+
+  // Runs cleaning (stage 0), enrichment (1), trips (2) and projection
+  // (3) on one chunk, each through flow::RunStage: its "stage.<name>"
+  // fail point and span, and its row of `metrics` when non-null. An
+  // error names the failing step.
+  Result<ProcessedChunk> Run(
+      flow::Dataset<ais::PositionReport> chunk,
+      flow::StageMetricsCollector* metrics = nullptr) const;
+
+ private:
+  CleaningConfig cleaning_;
+  Enricher enricher_;
+  bool commercial_only_;
+  Geofencer geofencer_;
+  int resolution_;
+};
+
+// Runs the whole pipeline over an AIS archive and a vessel registry:
+// one ChunkProcessor over `config.chunks` chunks, folded into one
+// InventoryBuilder, with retry/quarantine/checkpoint handling per the
+// config.
 PipelineResult RunPipeline(const std::vector<ais::PositionReport>& reports,
                            const std::vector<ais::VesselInfo>& registry,
                            const PipelineConfig& config);

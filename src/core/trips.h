@@ -30,13 +30,22 @@
 
 namespace pol::core {
 
-// Stats ACCUMULATE across ExtractTrips calls (the stage graph extracts
+// Stats ACCUMULATE across ExtractTrips calls (the pipeline extracts
 // chunk by chunk); pass a fresh struct for single-call totals.
 struct TripStats {
   uint64_t input = 0;
   uint64_t trips = 0;
   uint64_t annotated = 0;
   uint64_t excluded = 0;
+
+  bool operator==(const TripStats&) const = default;
+
+  void Accumulate(const TripStats& other) {
+    input += other.input;
+    trips += other.trips;
+    annotated += other.annotated;
+    excluded += other.excluded;
+  }
 };
 
 // Stable trip identifier.

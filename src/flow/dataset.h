@@ -5,25 +5,21 @@
 #include <cstddef>
 #include <functional>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "flow/threadpool.h"
 
-// Dataset<T>: an in-memory partitioned collection with the MapReduce
-// operations the paper's methodology is written in (map / filter /
-// key-based shuffle / per-partition sort / mergeable aggregation).
+// Dataset<T>: an in-memory partitioned collection with the operations
+// the pipeline's steps are written in (filter / whole-partition map /
+// key-based shuffle / per-partition sort / chunking).
 //
 // This is the in-process stand-in for Apache Spark used by the original
-// system. Operations parallelize over partitions on a ThreadPool, and —
-// the property that matters for correctness — every aggregation result
-// is independent of the number of partitions and worker threads, as
-// long as the accumulator's Merge is order-insensitive for the queried
-// statistics (all sketches in pol::stats are; see the merge property
-// tests). Merging across partitions always proceeds in ascending
-// partition order, so results are bit-for-bit reproducible run to run.
+// system. Operations parallelize over partitions on a ThreadPool. The
+// reduce phase is core::InventoryBuilder::Fold, which merges partials
+// in ascending partition order, so its result is independent of the
+// number of worker threads and bit-for-bit reproducible run to run.
 
 namespace pol::flow {
 
@@ -82,18 +78,6 @@ class Dataset {
     return out;
   }
 
-  // Element-wise transform. U = fn(const T&).
-  template <typename F>
-  auto Map(F fn) const -> Dataset<std::decay_t<std::invoke_result_t<F, const T&>>> {
-    using U = std::decay_t<std::invoke_result_t<F, const T&>>;
-    std::vector<std::vector<U>> out(partitions_.size());
-    pool_->ParallelFor(partitions_.size(), [&](size_t i) {
-      out[i].reserve(partitions_[i].size());
-      for (const T& item : partitions_[i]) out[i].push_back(fn(item));
-    });
-    return Dataset<U>(std::move(out), pool_);
-  }
-
   // Keeps elements satisfying the predicate.
   template <typename Pred>
   Dataset<T> Filter(Pred pred) const {
@@ -104,20 +88,6 @@ class Dataset {
       }
     });
     return Dataset<T>(std::move(out), pool_);
-  }
-
-  // One-to-many transform. fn returns a container of U.
-  template <typename F>
-  auto FlatMap(F fn) const
-      -> Dataset<typename std::decay_t<std::invoke_result_t<F, const T&>>::value_type> {
-    using U = typename std::decay_t<std::invoke_result_t<F, const T&>>::value_type;
-    std::vector<std::vector<U>> out(partitions_.size());
-    pool_->ParallelFor(partitions_.size(), [&](size_t i) {
-      for (const T& item : partitions_[i]) {
-        for (auto& produced : fn(item)) out[i].push_back(std::move(produced));
-      }
-    });
-    return Dataset<U>(std::move(out), pool_);
   }
 
   // Whole-partition transform: fn(const std::vector<T>&) -> std::vector<U>.
@@ -168,34 +138,6 @@ class Dataset {
     return Dataset<T>(std::move(out), pool_);
   }
 
-  // Concatenates two datasets (Spark's union): the result holds the
-  // partitions of both, in order. Both must share a pool.
-  Dataset<T> Union(const Dataset<T>& other) const {
-    POL_CHECK(other.pool_ == pool_) << "union across thread pools";
-    std::vector<std::vector<T>> partitions = partitions_;
-    partitions.insert(partitions.end(), other.partitions_.begin(),
-                      other.partitions_.end());
-    return Dataset<T>(std::move(partitions), pool_);
-  }
-
-  // Reduces to `num_partitions` by concatenating whole partitions in
-  // order (Spark's coalesce: no shuffle, order preserved).
-  Dataset<T> Coalesce(int num_partitions) const {
-    POL_CHECK(num_partitions >= 1);
-    const size_t targets = static_cast<size_t>(
-        std::min<int>(num_partitions, this->num_partitions()));
-    std::vector<std::vector<T>> out(targets);
-    // Contiguous groups keep global order: partition i goes to bucket
-    // floor(i * targets / P).
-    const size_t p = partitions_.size();
-    for (size_t i = 0; i < p; ++i) {
-      auto& target = out[i * targets / p];
-      target.insert(target.end(), partitions_[i].begin(),
-                    partitions_[i].end());
-    }
-    return Dataset<T>(std::move(out), pool_);
-  }
-
   // Consumes the dataset and regroups its partitions into `num_chunks`
   // contiguous, balanced groups — the chunk source for the stage
   // runner. Partition identity and order are preserved exactly:
@@ -236,65 +178,6 @@ class Dataset {
       std::stable_sort(out[i].begin(), out[i].end(), less);
     });
     return Dataset<T>(std::move(out), pool_);
-  }
-
-  // Grouped aggregation with mergeable accumulators — the reduce phase
-  // of the paper's feature extraction.
-  //
-  //   key_fn(const T&)            -> Key (hashable, equality-comparable)
-  //   init_fn()                   -> Acc
-  //   add_fn(Acc&, const T&)      folds one element
-  //   merge_fn(Acc&, Acc&&)       folds a partial accumulator
-  //
-  // Each partition aggregates locally; partials are then combined per
-  // key in ascending partition order (deterministic).
-  template <typename KeyFn, typename InitFn, typename AddFn, typename MergeFn>
-  auto AggregateByKey(KeyFn key_fn, InitFn init_fn, AddFn add_fn,
-                      MergeFn merge_fn) const
-      -> std::unordered_map<std::decay_t<std::invoke_result_t<KeyFn, const T&>>,
-                            std::decay_t<std::invoke_result_t<InitFn>>> {
-    using Key = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
-    using Acc = std::decay_t<std::invoke_result_t<InitFn>>;
-    using LocalMap = std::unordered_map<Key, Acc>;
-
-    // Map phase: local aggregation per partition.
-    std::vector<LocalMap> locals(partitions_.size());
-    pool_->ParallelFor(partitions_.size(), [&](size_t i) {
-      LocalMap& local = locals[i];
-      for (const T& item : partitions_[i]) {
-        auto it = local.try_emplace(key_fn(item), init_fn()).first;
-        add_fn(it->second, item);
-      }
-    });
-
-    // Reduce phase: merge partials bucket-parallel, partition-ordered.
-    const size_t buckets = partitions_.size();
-    std::vector<LocalMap> merged(buckets);
-    pool_->ParallelFor(buckets, [&](size_t b) {
-      for (LocalMap& local : locals) {
-        for (auto& [key, acc] : local) {
-          if (std::hash<Key>{}(key) % buckets != b) continue;
-          auto [it, inserted] = merged[b].try_emplace(key, init_fn());
-          if (inserted) {
-            it->second = std::move(acc);
-          } else {
-            merge_fn(it->second, std::move(acc));
-          }
-        }
-      }
-    });
-
-    std::unordered_map<Key, Acc> result;
-    size_t total = 0;
-    for (const auto& m : merged) total += m.size();
-    result.reserve(total);
-    for (LocalMap& m : merged) {
-      for (auto& [key, acc] : m) {
-        const bool inserted = result.emplace(key, std::move(acc)).second;
-        POL_DCHECK(inserted) << "key present in two merge buckets";
-      }
-    }
-    return result;
   }
 
   ThreadPool* pool() const { return pool_; }

@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -20,26 +18,18 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-// The stage graph: the pipeline's execution layer.
+// The stage boundary: what every step of a chunk's chain records.
 //
-// A Stage<In, Out> is a batch-in/batch-out transform over Dataset
-// chunks. A StageChain composes stages into a single typed chunk
-// function; the StageRunner (stage_runner.h) drives a chain over an
-// input split into bounded chunks, overlapping stage i on chunk k+1
-// with stage i+1 on chunk k via the shared ThreadPool.
+// A pipeline chunk runs a fixed chain of steps (core::ChunkProcessor:
+// cleaning -> enrichment -> trips -> projection). Each step goes through
+// RunStage, which carries the step's fail point "stage.<name>", its
+// trace span "stage.<name>", the stage-annotated error, its
+// StageMetricsCollector row and its "stage.<name>.*" registry metrics.
+// The StageRunner (stage_runner.h) drives a chunk function over bounded
+// chunks, retries and quarantines failed chunks.
 //
-// Failure model: RunChunk returns Result<Dataset<Out>> — a stage that
-// cannot process a chunk reports an error Status instead of taking the
-// run down. The chain stops at the first failing stage (annotating the
-// Status with the stage name), and the StageRunner retries the chunk
-// and finally quarantines it (see stage_runner.h). Every stage boundary
-// carries a fail point named "stage.<name>" for fault-injection builds.
-//
-// A stage may run on several chunks concurrently, so implementations
-// must be const-safe over shared state and guard any mutable
-// accumulation (the core stages guard their running Stats structs with
-// a mutex). Per-stage observability is recorded through a
-// StageMetricsCollector shared by all in-flight chunks.
+// Chunks run concurrently, so one StageMetricsCollector is shared by
+// every chunk in flight.
 
 namespace pol::flow {
 
@@ -106,17 +96,6 @@ class StageMetricsCollector {
   std::vector<StageMetrics> metrics_ POL_GUARDED_BY(mutex_);
 };
 
-// One pipeline stage: consumes a chunk, produces a chunk or an error.
-// RunChunk may be called concurrently for different chunks, and may be
-// called again with a copy of the same chunk when the runner retries.
-template <typename In, typename Out>
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual std::string_view name() const = 0;
-  virtual Result<Dataset<Out>> RunChunk(Dataset<In> input) = 0;
-};
-
 namespace internal {
 
 template <typename T>
@@ -160,103 +139,44 @@ inline void RecordStageRegistryMetrics(std::string_view stage_name,
   }
 }
 
-// Runs one stage over one chunk and records its metrics (or its
-// failure). Errors come from the stage itself or from the armed
-// "stage.<name>" fail point at the boundary.
-template <typename In, typename Out>
-Result<Dataset<Out>> RunStage(Stage<In, Out>& stage, Dataset<In> input,
-                              size_t stage_index,
-                              StageMetricsCollector* metrics) {
-  Status injected = POL_FAILPOINT(StageFailPointName(stage.name()));
+}  // namespace internal
+
+// Runs one step of a chunk's chain and records its metrics (row `index`
+// of `metrics`, when non-null) or its failure. `step(const Dataset<In>&)`
+// returns Dataset<Out> or Result<Dataset<Out>>; errors come from the
+// step or from the armed "stage.<name>" fail point at the boundary, and
+// carry the step's name. The input is freed once the step returns.
+template <typename Out, typename In, typename Step>
+Result<Dataset<Out>> RunStage(std::string_view name, size_t index,
+                              Dataset<In> input,
+                              StageMetricsCollector* metrics,
+                              const Step& step) {
+  Status injected = POL_FAILPOINT(internal::StageFailPointName(name));
   if (!injected.ok()) {
     if (metrics != nullptr) {
-      metrics->RecordFailure(stage_index, stage.name(), injected.code());
+      metrics->RecordFailure(index, name, injected.code());
     }
-    return AnnotateWithStage(stage.name(), std::move(injected));
+    return internal::AnnotateWithStage(name, std::move(injected));
   }
-  POL_TRACE_SPAN(StageFailPointName(stage.name()));  // "stage.<name>".
+  POL_TRACE_SPAN(internal::StageFailPointName(name));  // "stage.<name>".
   const uint64_t records_in = input.Count();
   const double start = obs::NowSeconds();
-  Result<Dataset<Out>> output = stage.RunChunk(std::move(input));
+  Result<Dataset<Out>> output = step(input);
+  { Dataset<In> consumed = std::move(input); }  // Freed inside the span.
   const double seconds = obs::NowSeconds() - start;
   if (!output.ok()) {
     if (metrics != nullptr) {
-      metrics->RecordFailure(stage_index, stage.name(),
-                             output.status().code());
+      metrics->RecordFailure(index, name, output.status().code());
     }
-    return AnnotateWithStage(stage.name(), output.status());
+    return internal::AnnotateWithStage(name, output.status());
   }
   if (metrics != nullptr) {
-    metrics->Record(stage_index, stage.name(), records_in, output->Count(),
-                    MaxPartitionSize(*output), seconds);
+    metrics->Record(index, name, records_in, output->Count(),
+                    internal::MaxPartitionSize(*output), seconds);
   }
-  RecordStageRegistryMetrics(stage.name(), seconds);
+  internal::RecordStageRegistryMetrics(name, seconds);
   return output;
 }
-
-}  // namespace internal
-
-// A typed composition of stages. Built left to right:
-//
-//   auto chain = StageChain<Raw, Rec>(cleaning)
-//                    .Then(enrichment).Then(trips).Then(projection);
-//   Result<Dataset<Rec>> out = chain.RunChunk(std::move(chunk), &collector);
-//
-// The chain short-circuits at the first failing stage; the error Status
-// is annotated with that stage's name. Stages are held by shared_ptr
-// because one stage instance serves every chunk (it carries the
-// chain-wide state: registry joins, geofence index, accumulated Stats).
-template <typename In, typename Out>
-class StageChain {
- public:
-  explicit StageChain(std::shared_ptr<Stage<In, Out>> stage)
-      : names_{std::string(stage->name())},
-        run_([stage = std::move(stage)](
-                 Dataset<In> input,
-                 StageMetricsCollector* metrics) -> Result<Dataset<Out>> {
-          return internal::RunStage(*stage, std::move(input), 0, metrics);
-        }) {}
-
-  // Appends a stage; consumes this chain.
-  template <typename Next>
-  StageChain<In, Next> Then(std::shared_ptr<Stage<Out, Next>> stage) && {
-    std::vector<std::string> names = std::move(names_);
-    names.push_back(std::string(stage->name()));
-    const size_t index = names.size() - 1;
-    auto run = [prev = std::move(run_), stage = std::move(stage), index](
-                   Dataset<In> input,
-                   StageMetricsCollector* metrics) -> Result<Dataset<Next>> {
-      Result<Dataset<Out>> mid = prev(std::move(input), metrics);
-      if (!mid.ok()) return mid.status();
-      return internal::RunStage(*stage, std::move(mid).value(), index,
-                                metrics);
-    };
-    return StageChain<In, Next>(std::move(names), std::move(run));
-  }
-
-  // Runs the whole chain on one chunk, recording per-stage metrics.
-  // Errors carry the failing stage's name in the Status message.
-  Result<Dataset<Out>> RunChunk(Dataset<In> chunk,
-                                StageMetricsCollector* metrics) const {
-    return run_(std::move(chunk), metrics);
-  }
-
-  size_t size() const { return names_.size(); }
-  const std::vector<std::string>& stage_names() const { return names_; }
-
- private:
-  template <typename I, typename O>
-  friend class StageChain;
-
-  using RunFn = std::function<Result<Dataset<Out>>(Dataset<In>,
-                                                   StageMetricsCollector*)>;
-
-  StageChain(std::vector<std::string> names, RunFn run)
-      : names_(std::move(names)), run_(std::move(run)) {}
-
-  std::vector<std::string> names_;
-  RunFn run_;
-};
 
 }  // namespace pol::flow
 

@@ -15,23 +15,24 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/status.h"
-#include "flow/stage.h"
+#include "flow/dataset.h"
 #include "flow/threadpool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-// StageRunner: drives a StageChain over an input split into bounded
-// chunks. Up to `max_in_flight` chunks run concurrently as pool tasks,
-// so stage i works on chunk k+1 while stage i+1 works on chunk k (the
-// Dataset operations inside each stage fan out over the same pool —
-// ParallelFor is caller-participating, so a stage task never deadlocks
+// StageRunner: drives a chunk function (one chunk's whole chain of
+// steps, e.g. core::ChunkProcessor::Run) over an input split into
+// bounded chunks. Up to `max_in_flight` chunks run concurrently as pool
+// tasks, so step i works on chunk k+1 while step i+1 works on chunk k
+// (the Dataset operations inside each step fan out over the same pool —
+// ParallelFor is caller-participating, so a chunk task never deadlocks
 // waiting for workers). Outputs are handed to the sink strictly in
 // ascending chunk order on the calling thread, which is what makes
 // incremental inventory folding deterministic: folding chunk results in
 // chunk order reproduces the single-shot merge order bit for bit (see
 // dataset.h on the reproducibility contract).
 //
-// Failure containment. A chunk whose chain attempt returns a
+// Failure containment. A chunk whose attempt returns a
 // *retryable* error (Status::IsRetryable() — transient infrastructure
 // faults; caller errors go straight to quarantine) is retried up to
 // `max_attempts` times total, with exponential backoff between
@@ -39,8 +40,7 @@
 // except the last, so a retry always sees the original bytes). A chunk
 // that exhausts its attempts is *quarantined*: the run continues, the
 // failure is recorded as a ChunkFailure dead letter in the RunSummary
-// (and reported through `on_quarantine` in ascending chunk order), and
-// the per-stage/per-reason counters land in StageMetrics. With
+// (and reported through `on_quarantine` in ascending chunk order). With
 // `fail_fast` set, the first exhausted chunk aborts the run instead —
 // the mode the checkpoint/resume layer uses to simulate a crash. The
 // sink returns a Status; a non-OK sink (e.g. a failed checkpoint write
@@ -74,16 +74,22 @@ struct RunSummary {
   std::vector<ChunkFailure> quarantined;  // Ascending chunk index.
 };
 
+// Runs Dataset<In> chunks through a chunk function producing Out.
 template <typename In, typename Out>
 class StageRunner {
  public:
+  // One chunk's trip through its chain. Called concurrently for
+  // different chunks, and again with a copy of the same chunk when the
+  // runner retries; errors should name the failing step.
+  using ChunkFn = std::function<Result<Out>(Dataset<In>)>;
+
   struct Options {
     // Chunks allowed in flight at once. 1 = strictly sequential chunks;
     // 2 (default) overlaps one chunk's tail stages with the next
     // chunk's head stages while bounding peak memory to ~2 chunks of
     // intermediates.
     int max_in_flight = 2;
-    // Total chain attempts per chunk. 1 = no retry (and no defensive
+    // Total attempts per chunk. 1 = no retry (and no defensive
     // input copy — the historical zero-overhead behavior). With N > 1,
     // attempts 1..N-1 run on a copy of the input chunk, so peak memory
     // gains up to one extra input chunk per in-flight chunk.
@@ -96,15 +102,15 @@ class StageRunner {
     bool fail_fast = false;
   };
 
-  StageRunner(StageChain<In, Out> chain, ThreadPool* pool,
+  StageRunner(ChunkFn chunk_fn, ThreadPool* pool,
               Options options = Options())
-      : chain_(std::move(chain)), pool_(pool), options_(options) {
+      : chunk_fn_(std::move(chunk_fn)), pool_(pool), options_(options) {
     POL_CHECK(pool_ != nullptr);
     POL_CHECK(options_.max_in_flight >= 1);
     POL_CHECK(options_.max_attempts >= 1);
   }
 
-  // Runs chunks [start_chunk, chunks.size()) through the chain;
+  // Runs chunks [start_chunk, chunks.size()) through the chunk function;
   // `sink(chunk_index, output)` is invoked on the calling thread, in
   // ascending chunk order, and may veto the rest of the run by
   // returning a non-OK Status. `on_quarantine` (optional) observes each
@@ -115,7 +121,7 @@ class StageRunner {
   // flight.
   RunSummary Run(
       std::vector<Dataset<In>> chunks,
-      const std::function<Status(size_t, Dataset<Out>)>& sink,
+      const std::function<Status(size_t, Out)>& sink,
       size_t start_chunk = 0,
       const std::function<void(const ChunkFailure&)>& on_quarantine = {}) {
     POL_TRACE_SPAN("flow.run");
@@ -127,7 +133,7 @@ class StageRunner {
 
     // Outcome of one chunk's (possibly retried) trip through the chain.
     struct Slot {
-      std::optional<Dataset<Out>> result;  // Engaged on success.
+      std::optional<Out> result;  // Engaged on success.
       Status status;                       // Error of the final attempt.
       uint64_t records = 0;                // Input records (for coverage).
       int attempts = 0;
@@ -175,7 +181,7 @@ class StageRunner {
       }
       Slot& slot = slots[next_to_fold];
       if (slot.result.has_value()) {
-        Dataset<Out> out = std::move(*slot.result);
+        Out out = std::move(*slot.result);
         slot.result.reset();
         Status sink_status;
         try {
@@ -226,26 +232,20 @@ class StageRunner {
     return summary;
   }
 
-  // Metrics accumulated so far, one entry per chain stage.
-  std::vector<StageMetrics> metrics() const { return collector_.Snapshot(); }
-
-  const StageChain<In, Out>& chain() const { return chain_; }
-
  private:
-  // Runs one chunk through the chain with the retry policy; fills the
-  // slot's result/status/attempts. Runs on a pool task; the slot is
-  // published under the runner's mutex by the caller.
+  // Runs one chunk through the chunk function with the retry policy;
+  // fills the slot's result/status/attempts. Runs on a pool task; the
+  // slot is published under the runner's mutex by the caller.
   template <typename Slot>
   void RunChunkWithRetries(Dataset<In>* chunk, Slot* slot,
                            std::atomic<uint64_t>* retries) {
     slot->records = chunk->Count();
     for (int attempt = 1;; ++attempt) {
       const bool final_attempt = attempt >= options_.max_attempts;
-      // Retryable attempts run on a defensive copy: the chain consumes
-      // its input, and a retry must see the original bytes.
-      Result<Dataset<Out>> out =
-          final_attempt ? chain_.RunChunk(std::move(*chunk), &collector_)
-                        : chain_.RunChunk(Dataset<In>(*chunk), &collector_);
+      // Retryable attempts run on a defensive copy: the chunk function
+      // consumes its input, and a retry must see the original bytes.
+      Result<Out> out = final_attempt ? chunk_fn_(std::move(*chunk))
+                                      : chunk_fn_(Dataset<In>(*chunk));
       slot->attempts = attempt;
       if (out.ok()) {
         slot->result.emplace(std::move(out).value());
@@ -269,10 +269,9 @@ class StageRunner {
     }
   }
 
-  StageChain<In, Out> chain_;
+  ChunkFn chunk_fn_;
   ThreadPool* pool_;
   Options options_;
-  StageMetricsCollector collector_;
 };
 
 }  // namespace pol::flow

@@ -23,8 +23,8 @@
 #include "core/cleaning.h"
 #include "core/inventory.h"
 #include "core/inventory_builder.h"
+#include "core/pipeline.h"
 #include "core/snapshot_codec.h"
-#include "core/stages.h"
 #include "flow/dataset.h"
 #include "flow/stage.h"
 #include "flow/threadpool.h"
@@ -504,27 +504,23 @@ TEST_F(CheckpointTest, BuilderStateRoundTripsByteIdentically) {
   flow::ThreadPool pool(2);
   CleaningConfig cleaning_config;
   cleaning_config.partitions = 4;
-  CleaningStage cleaning(cleaning_config);
-  EnrichmentStage enrichment(archive.fleet, /*commercial_only=*/true);
-  TripStage trips(&sim::PortDatabase::Global(), 6);
-  ProjectionStage projection(6);
+  const ChunkProcessor processor(cleaning_config, archive.fleet,
+                                 /*commercial_only=*/true,
+                                 &sim::PortDatabase::Global(), 6, 6);
 
   ExtractorConfig extractor_config;
   extractor_config.resolution = 6;
 
   auto run_chain = [&](flow::Dataset<ais::PositionReport> chunk) {
-    auto cleaned = cleaning.RunChunk(std::move(chunk));
-    auto enriched = enrichment.RunChunk(std::move(cleaned).value());
-    auto tripped = trips.RunChunk(std::move(enriched).value());
-    return projection.RunChunk(std::move(tripped).value());
+    return processor.Run(std::move(chunk)).value().records;
   };
 
   auto chunks = SplitReportsByVessel(archive.reports, 4, 4, &pool);
   ASSERT_EQ(chunks.size(), 4u);
 
   InventoryBuilder original(extractor_config);
-  original.Fold(*run_chain(std::move(chunks[0])));
-  original.Fold(*run_chain(std::move(chunks[1])));
+  original.Fold(run_chain(std::move(chunks[0])));
+  original.Fold(run_chain(std::move(chunks[1])));
 
   std::string mid_state;
   original.SerializeState(&mid_state);
@@ -541,8 +537,8 @@ TEST_F(CheckpointTest, BuilderStateRoundTripsByteIdentically) {
   EXPECT_EQ(restored_state, mid_state);
 
   // Both builders finish the remaining chunks identically.
-  auto chunk2 = *run_chain(std::move(chunks[2]));
-  auto chunk3 = *run_chain(std::move(chunks[3]));
+  auto chunk2 = run_chain(std::move(chunks[2]));
+  auto chunk3 = run_chain(std::move(chunks[3]));
   original.Fold(chunk2);
   original.Fold(chunk3);
   restored.Fold(chunk2);

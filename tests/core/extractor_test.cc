@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/inventory_builder.h"
 #include "geo/geodesic.h"
 #include "hexgrid/hexgrid.h"
 
@@ -24,6 +25,14 @@ PipelineRecord At(ais::Mmsi mmsi, UnixSeconds t, double lat, double lng,
   r.destination = 2;
   r.segment = segment;
   return r;
+}
+
+// One Fold of projected records, sealed.
+Inventory Extract(const flow::Dataset<PipelineRecord>& projected,
+                  const ExtractorConfig& config) {
+  InventoryBuilder builder(config);
+  builder.Fold(projected);
+  return std::move(builder).Finish();
 }
 
 TEST(ProjectTest, AssignsCells) {
@@ -91,7 +100,8 @@ TEST(ExtractTest, ThreeGroupingSetsPerRecord) {
           {At(215000001, 0, 1.3, 103.8, 7, ais::MarketSegment::kContainer)},
           1, &pool),
       6);
-  const SummaryMap summaries = ExtractFeatures(projected, {});
+  const Inventory inventory = Extract(projected, {});
+  const SummaryMap& summaries = inventory.summaries();
   EXPECT_EQ(summaries.size(), 3u);  // One key per grouping set.
   const hex::CellIndex cell = hex::LatLngToCell({1.3, 103.8}, 6);
   EXPECT_TRUE(summaries.count(KeyCell(cell)));
@@ -111,8 +121,7 @@ TEST(ExtractTest, GroupingSetsCanBeDisabled) {
   ExtractorConfig config;
   config.gi_cell_type = false;
   config.gi_cell_route_type = false;
-  const SummaryMap summaries = ExtractFeatures(projected, config);
-  EXPECT_EQ(summaries.size(), 1u);
+  EXPECT_EQ(Extract(projected, config).size(), 1u);
 }
 
 TEST(ExtractTest, SegmentsSplitCorrectly) {
@@ -128,7 +137,8 @@ TEST(ExtractTest, SegmentsSplitCorrectly) {
   }
   const auto projected = ProjectToGrid(
       flow::Dataset<PipelineRecord>::FromVector(records, 2, &pool), 6);
-  const SummaryMap summaries = ExtractFeatures(projected, {});
+  const Inventory inventory = Extract(projected, {});
+  const SummaryMap& summaries = inventory.summaries();
   const hex::CellIndex cell = hex::LatLngToCell({1.3, 103.8}, 6);
   EXPECT_EQ(summaries.at(KeyCell(cell)).record_count(), 14u);
   EXPECT_EQ(
@@ -157,7 +167,8 @@ TEST(ExtractTest, ResultIndependentOfPartitioning) {
     const auto projected = ProjectToGrid(
         flow::Dataset<PipelineRecord>::FromVector(records, partitions, &pool),
         6);
-    const SummaryMap summaries = ExtractFeatures(projected, {});
+    const Inventory inventory = Extract(projected, {});
+  const SummaryMap& summaries = inventory.summaries();
     sizes.push_back(summaries.size());
     uint64_t checksum = 0;
     for (const auto& [key, summary] : summaries) {

@@ -357,6 +357,59 @@ TEST_F(FaultInjectionTest, ExhaustedChunkIsQuarantinedAndRunContinues) {
             result.quarantined[0].records);
 }
 
+TEST_F(FaultInjectionTest, RetriedChunkCountsOnceInStageStats) {
+  if (!kFailPointsEnabled) {
+    GTEST_SKIP() << "fail points compiled out; use the faults preset";
+  }
+  // Chunk 1's first attempt fails at enrichment after cleaning has
+  // counted it; the stage stats must count the chunk once, from the
+  // attempt that folded.
+  PipelineConfig config = BaseConfig(/*checkpoint_dir=*/"");
+  config.max_attempts = 2;
+  const PipelineResult no_fault = Run(config);
+  ASSERT_TRUE(no_fault.status.ok()) << no_fault.status.ToString();
+  EXPECT_EQ(no_fault.cleaning.input, Archive().reports.size());
+
+  FailPointRegistry::Global().Reset();  // Hit counts restart at 0.
+  FailPointSpec spec;
+  spec.fire_from = 1;
+  spec.fire_count = 1;
+  FailPointRegistry::Global().Arm("stage.enrichment", spec);
+  const PipelineResult retried = Run(config);
+  FailPointRegistry::Global().Reset();
+  ASSERT_TRUE(retried.status.ok()) << retried.status.ToString();
+  EXPECT_EQ(retried.coverage.retries, 1u);
+  EXPECT_EQ(retried.coverage.chunks_folded, static_cast<size_t>(kChunks));
+  EXPECT_EQ(retried.cleaning, no_fault.cleaning);
+  EXPECT_EQ(retried.enrichment, no_fault.enrichment);
+  EXPECT_EQ(retried.trips, no_fault.trips);
+}
+
+TEST_F(FaultInjectionTest, QuarantinedChunkIsNotCountedInStageStats) {
+  if (!kFailPointsEnabled) {
+    GTEST_SKIP() << "fail points compiled out; use the faults preset";
+  }
+  // Both attempts of chunk 1 fail at trips after cleaning and
+  // enrichment have counted it: every raw report is counted once,
+  // either by cleaning (a folded chunk) or as quarantined.
+  PipelineConfig config = BaseConfig(/*checkpoint_dir=*/"");
+  config.max_attempts = 2;
+  FailPointSpec spec;
+  spec.fire_from = 1;
+  spec.fire_count = 2;
+  spec.code = StatusCode::kCorruption;
+  FailPointRegistry::Global().Arm("stage.trips", spec);
+  const PipelineResult result = Run(config);
+  FailPointRegistry::Global().Reset();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_EQ(result.coverage.chunks_quarantined, 1u);
+  EXPECT_GT(result.coverage.records_quarantined, 0u);
+  EXPECT_EQ(result.cleaning.input + result.coverage.records_quarantined,
+            Archive().reports.size());
+  EXPECT_EQ(result.enrichment.input, result.cleaning.kept);
+  EXPECT_EQ(result.trips.input, result.enrichment.kept);
+}
+
 TEST_F(FaultInjectionTest, IngestFailPointDeadLettersTheSentence) {
   if (!kFailPointsEnabled) {
     GTEST_SKIP() << "fail points compiled out; use the faults preset";

@@ -4,15 +4,21 @@
 // lookups byte-identical, corridors element-identical including the
 // reversed-pair fallback and the orientation that answered, the
 // fallback ladder (Resolve) on the same level and bytes, and full
-// visitation equal to the build side in (cell, dims) order. Unit cases
-// pin each rung of the ladder.
+// visitation equal to the build side in (cell, dims) order. Route
+// queries on both sides are also checked against the cells the
+// generator recorded inserting under each route key, so the build
+// side's answers are not only compared with themselves. Unit cases pin
+// each rung of the ladder.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,11 +39,30 @@ struct RouteKey {
   ais::MarketSegment segment;
 };
 
+// The cells inserted under each exact (origin, destination, segment)
+// route key, ascending.
+using RouteCells =
+    std::map<std::tuple<sim::PortId, sim::PortId, ais::MarketSegment>,
+             std::set<hex::CellIndex>>;
+
 struct Sample {
   Inventory inventory;
   std::vector<hex::CellIndex> cells;
   std::vector<RouteKey> routes;
+  RouteCells route_cells;
 };
+
+// What CellsForRoute must answer, from the recorded inserts alone: the
+// exact key's cells, else the reversed pair's, else none.
+std::vector<hex::CellIndex> ExpectedCells(const RouteCells& recorded,
+                                          const RouteKey& q) {
+  for (const auto& key : {std::tuple(q.origin, q.destination, q.segment),
+                          std::tuple(q.destination, q.origin, q.segment)}) {
+    const auto it = recorded.find(key);
+    if (it != recorded.end()) return {it->second.begin(), it->second.end()};
+  }
+  return {};
+}
 
 // A random inventory over a handful of ports and segments: small key
 // spaces on purpose, so collisions, multi-cell corridors, and pairs
@@ -47,6 +72,7 @@ Sample RandomInventory(uint64_t seed) {
   SummaryMap summaries;
   std::vector<hex::CellIndex> cells;
   std::vector<RouteKey> routes;
+  RouteCells route_cells;
   const int groups = 30 + static_cast<int>(rng.NextBelow(50));
   for (int i = 0; i < groups; ++i) {
     const hex::CellIndex cell = hex::LatLngToCell(
@@ -68,6 +94,7 @@ Sample RandomInventory(uint64_t seed) {
     r.ata_s = rng.Uniform(100, 100000);
     cells.push_back(cell);
     routes.push_back({origin, destination, segment});
+    route_cells[{origin, destination, segment}].insert(cell);
     for (const GroupKey& key :
          {KeyCell(cell), KeyCellType(cell, segment),
           KeyCellRouteType(cell, origin, destination, segment)}) {
@@ -78,7 +105,7 @@ Sample RandomInventory(uint64_t seed) {
     }
   }
   return Sample{Inventory(6, std::move(summaries)), std::move(cells),
-                std::move(routes)};
+                std::move(routes), std::move(route_cells)};
 }
 
 std::string Bytes(const CellSummary* summary) {
@@ -114,18 +141,20 @@ void ExpectSnapshotMatchesBuildSide(const Sample& sample,
   EXPECT_EQ(snap.DistinctCells(), inv.DistinctCells());
 
   // Every route key, in both orientations, plus a never-inserted one:
-  // the build-side index and the snapshot both equal the full scan.
+  // the build side and the snapshot both answer what was inserted.
   std::vector<RouteKey> queries = sample.routes;
   for (const RouteKey& route : sample.routes) {
     queries.push_back({route.destination, route.origin, route.segment});
   }
   queries.push_back({200, 201, ais::MarketSegment::kTugAndService});
   for (const RouteKey& q : queries) {
-    const auto scan =
-        inv.CellsForRoute(q.origin, q.destination, q.segment);
-    EXPECT_EQ(inv.CellsForRoute(q.origin, q.destination, q.segment), scan)
+    const std::vector<hex::CellIndex> expected =
+        ExpectedCells(sample.route_cells, q);
+    EXPECT_EQ(inv.CellsForRoute(q.origin, q.destination, q.segment),
+              expected)
         << "route " << q.origin << "->" << q.destination;
-    EXPECT_EQ(snap.CellsForRoute(q.origin, q.destination, q.segment), scan)
+    EXPECT_EQ(snap.CellsForRoute(q.origin, q.destination, q.segment),
+              expected)
         << "route " << q.origin << "->" << q.destination;
   }
 
@@ -256,14 +285,18 @@ TEST(InventoryQueryPropertyTest, IndexSurvivesMerges) {
     const std::shared_ptr<const InventorySnapshot> snap = merged.Seal();
     std::vector<RouteKey> queries = a.routes;
     queries.insert(queries.end(), b.routes.begin(), b.routes.end());
+    RouteCells recorded = a.route_cells;
+    for (const auto& [key, cells] : b.route_cells) {
+      recorded[key].insert(cells.begin(), cells.end());
+    }
     for (const RouteKey& q : queries) {
-      const auto scan =
-          merged.CellsForRoute(q.origin, q.destination, q.segment);
-      EXPECT_FALSE(scan.empty()) << "seed " << seed;
+      const std::vector<hex::CellIndex> expected = ExpectedCells(recorded, q);
+      EXPECT_FALSE(expected.empty()) << "seed " << seed;
       EXPECT_EQ(merged.CellsForRoute(q.origin, q.destination, q.segment),
-                scan)
+                expected)
           << "seed " << seed;
-      EXPECT_EQ(snap->CellsForRoute(q.origin, q.destination, q.segment), scan)
+      EXPECT_EQ(snap->CellsForRoute(q.origin, q.destination, q.segment),
+                expected)
           << "seed " << seed;
     }
   }

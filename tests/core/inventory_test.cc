@@ -125,9 +125,6 @@ TEST(InventoryTest, CellsForRouteAnswersReversedPortPairs) {
   // The fallback is per (pair, segment): no tanker traffic on 3 -> 21
   // in either orientation.
   EXPECT_TRUE(inv.CellsForRoute(21, 3, ais::MarketSegment::kTanker).empty());
-  // The scan reference path implements the same contract.
-  EXPECT_EQ(inv.CellsForRoute(21, 3, ais::MarketSegment::kContainer),
-            forward);
 }
 
 TEST(InventoryTest, CompressionReportMath) {

@@ -13,7 +13,6 @@
 #include "core/cleaning.h"
 #include "core/inventory_builder.h"
 #include "core/pipeline.h"
-#include "core/stages.h"
 #include "flow/stage.h"
 #include "flow/threadpool.h"
 #include "sim/fleet.h"
@@ -117,8 +116,8 @@ TEST(PipelineChunkedTest, StageMetricsCoverAllFiveStages) {
 }
 
 TEST(PipelineChunkedTest, ManualStageGraphMatchesRunPipeline) {
-  // Assemble the graph by hand — SplitReportsByVessel + the stage
-  // classes + InventoryBuilder::Fold — and check it reproduces
+  // Assemble the pipeline by hand — SplitReportsByVessel + the chunk
+  // processor + InventoryBuilder::Fold — and check it reproduces
   // RunPipeline byte for byte. This is the path external callers take
   // to fold fresh batches into an existing builder.
   const sim::SimulationOutput archive = SmallArchive();
@@ -131,10 +130,10 @@ TEST(PipelineChunkedTest, ManualStageGraphMatchesRunPipeline) {
   flow::ThreadPool pool(2);
   CleaningConfig cleaning_config;
   cleaning_config.partitions = config.partitions;
-  CleaningStage cleaning(cleaning_config);
-  EnrichmentStage enrichment(archive.fleet, /*commercial_only=*/true);
-  TripStage trips(&sim::PortDatabase::Global(), config.geofence_resolution);
-  ProjectionStage projection(config.resolution);
+  const ChunkProcessor processor(
+      cleaning_config, archive.fleet, /*commercial_only=*/true,
+      &sim::PortDatabase::Global(), config.geofence_resolution,
+      config.resolution);
 
   ExtractorConfig extractor_config = config.extractor;
   extractor_config.resolution = config.resolution;
@@ -143,27 +142,21 @@ TEST(PipelineChunkedTest, ManualStageGraphMatchesRunPipeline) {
   auto chunks =
       SplitReportsByVessel(archive.reports, config.partitions, 4, &pool);
   ASSERT_EQ(chunks.size(), 4u);
+  CleaningStats cleaning;
+  TripStats trips;
   for (auto& chunk : chunks) {
-    Result<flow::Dataset<PipelineRecord>> cleaned =
-        cleaning.RunChunk(std::move(chunk));
-    ASSERT_TRUE(cleaned.ok());
-    Result<flow::Dataset<PipelineRecord>> enriched =
-        enrichment.RunChunk(std::move(cleaned).value());
-    ASSERT_TRUE(enriched.ok());
-    Result<flow::Dataset<PipelineRecord>> tripped =
-        trips.RunChunk(std::move(enriched).value());
-    ASSERT_TRUE(tripped.ok());
-    Result<flow::Dataset<PipelineRecord>> projected =
-        projection.RunChunk(std::move(tripped).value());
-    ASSERT_TRUE(projected.ok());
-    builder.Fold(*projected);
+    Result<ProcessedChunk> processed = processor.Run(std::move(chunk));
+    ASSERT_TRUE(processed.ok());
+    cleaning.Accumulate(processed->cleaning);
+    trips.Accumulate(processed->trips);
+    builder.Fold(processed->records);
   }
   EXPECT_EQ(builder.records_folded(), reference.aggregated_records);
   const Inventory inventory = std::move(builder).Finish();
   EXPECT_EQ(SerializedBytes(inventory),
             SerializedBytes(*reference.inventory));
-  EXPECT_EQ(cleaning.stats().kept, reference.cleaning.kept);
-  EXPECT_EQ(trips.stats().trips, reference.trips.trips);
+  EXPECT_EQ(cleaning.kept, reference.cleaning.kept);
+  EXPECT_EQ(trips.trips, reference.trips.trips);
 }
 
 TEST(PipelineChunkedTest, MoreChunksThanPartitionsStillExact) {

@@ -10,12 +10,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -32,42 +30,35 @@
 namespace pol::flow {
 namespace {
 
-// Stage that maps v -> v + 1 and accumulates a chain-wide record count
-// behind a mutex, mimicking the core stages' guarded Stats structs.
-class AddOneStage : public Stage<int, int> {
- public:
-  std::string_view name() const override { return "add_one"; }
+using IntRunner = StageRunner<int, Dataset<int>>;
 
-  Result<Dataset<int>> RunChunk(Dataset<int> input) override {
-    Dataset<int> out = input.Map([](const int& v) { return v + 1; });
-    const size_t n = out.Count();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      records_ += n;
-    }
-    return out;
-  }
-
-  size_t records() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_;
-  }
-
- private:
-  mutable std::mutex mutex_;  // guards: records_
-  size_t records_ = 0;
-};
-
-// Stage that drops odd values via a nested ParallelFor over partitions
-// (Filter already parallelizes; this adds a second fan-out level).
-class KeepEvenStage : public Stage<int, int> {
- public:
-  std::string_view name() const override { return "keep_even"; }
-
-  Result<Dataset<int>> RunChunk(Dataset<int> input) override {
-    return input.Filter([](const int& v) { return v % 2 == 0; });
-  }
-};
+// The two-step chain the ordering tests drive, each step through the
+// stage boundary: add_one maps v -> v + 1 and counts every record it
+// sees into `records` (shared by every chunk in flight); keep_even
+// drops odd values via a nested ParallelFor over partitions (Filter
+// already parallelizes; this adds a second fan-out level).
+IntRunner::ChunkFn AddOneKeepEven(std::atomic<size_t>* records,
+                                  StageMetricsCollector* metrics = nullptr) {
+  return [records, metrics](Dataset<int> input) -> Result<Dataset<int>> {
+    POL_ASSIGN_OR_RETURN(
+        Dataset<int> plus_one,
+        RunStage<int>("add_one", 0, std::move(input), metrics,
+                      [records](const Dataset<int>& in) {
+                        records->fetch_add(in.Count());
+                        return in.MapPartitions(
+                            [](const std::vector<int>& part) {
+                              std::vector<int> out = part;
+                              for (int& v : out) ++v;
+                              return out;
+                            });
+                      }));
+    return RunStage<int>("keep_even", 1, std::move(plus_one), metrics,
+                         [](const Dataset<int>& in) {
+                           return in.Filter(
+                               [](const int& v) { return v % 2 == 0; });
+                         });
+  };
+}
 
 std::vector<Dataset<int>> MakeChunks(int num_chunks, int values_per_chunk,
                                      ThreadPool* pool) {
@@ -83,17 +74,15 @@ std::vector<Dataset<int>> MakeChunks(int num_chunks, int values_per_chunk,
   return chunks;
 }
 
-// Folds every chunk through a 2-stage chain and checks that the sink
+// Folds every chunk through a 2-step chain and checks that the sink
 // sees chunks strictly in order with identical totals regardless of the
 // in-flight window.
 void RunManyChunks(int max_in_flight, int num_chunks) {
   ThreadPool pool(4);
-  auto add_one = std::make_shared<AddOneStage>();
-  auto chain = StageChain<int, int>(add_one)
-                   .Then<int>(std::make_shared<KeepEvenStage>());
-  StageRunner<int, int>::Options options;
+  std::atomic<size_t> add_one_records{0};
+  IntRunner::Options options;
   options.max_in_flight = max_in_flight;
-  StageRunner<int, int> runner(std::move(chain), &pool, options);
+  IntRunner runner(AddOneKeepEven(&add_one_records), &pool, options);
 
   constexpr int kValuesPerChunk = 40;
   std::vector<size_t> fold_order;
@@ -121,7 +110,7 @@ void RunManyChunks(int max_in_flight, int num_chunks) {
     if (v % 2 == 0) expected += v;
   }
   EXPECT_EQ(total, expected);
-  EXPECT_EQ(add_one->records(),
+  EXPECT_EQ(add_one_records.load(),
             static_cast<size_t>(num_chunks) * kValuesPerChunk);
 }
 
@@ -137,17 +126,15 @@ TEST(ConcurrencyStressTest, StageRunnerWindowWiderThanChunkCount) {
   RunManyChunks(/*max_in_flight=*/16, /*num_chunks=*/5);
 }
 
-// Stage that fails every attempt on chunks containing `poison`, and the
+// Step that fails every attempt on chunks containing `poison`, and the
 // first `flaky_attempts` attempts on every other chunk (keyed by the
 // chunk's first value). Exercises retry and quarantine paths.
-class FaultyStage : public Stage<int, int> {
+class FaultyStep {
  public:
-  FaultyStage(int poison, int flaky_attempts)
+  FaultyStep(int poison, int flaky_attempts)
       : poison_(poison), flaky_attempts_(flaky_attempts) {}
 
-  std::string_view name() const override { return "faulty"; }
-
-  Result<Dataset<int>> RunChunk(Dataset<int> input) override {
+  Result<Dataset<int>> operator()(const Dataset<int>& input) {
     const std::vector<int> values = input.Collect();
     for (const int v : values) {
       if (v == poison_) return Status::Corruption("poisoned chunk");
@@ -169,17 +156,27 @@ class FaultyStage : public Stage<int, int> {
   std::map<int, int> attempts_by_key_;
 };
 
+// A one-step chain running `step` as stage "faulty".
+IntRunner::ChunkFn Faulty(FaultyStep* step,
+                          StageMetricsCollector* metrics = nullptr) {
+  return [step, metrics](Dataset<int> input) {
+    return RunStage<int>(
+        "faulty", 0, std::move(input), metrics,
+        [step](const Dataset<int>& in) { return (*step)(in); });
+  };
+}
+
 TEST(ConcurrencyStressTest, TransientFaultsRetrySucceed) {
   // Every chunk fails its first attempt; with three attempts allowed,
   // the run must still fold every chunk in order.
   ThreadPool pool(4);
   constexpr int kChunks = 12;
-  auto chain = StageChain<int, int>(
-      std::make_shared<FaultyStage>(/*poison=*/-1, /*flaky_attempts=*/1));
-  StageRunner<int, int>::Options options;
+  FaultyStep step(/*poison=*/-1, /*flaky_attempts=*/1);
+  StageMetricsCollector collector;
+  IntRunner::Options options;
   options.max_in_flight = 3;
   options.max_attempts = 3;
-  StageRunner<int, int> runner(std::move(chain), &pool, options);
+  IntRunner runner(Faulty(&step, &collector), &pool, options);
 
   std::vector<size_t> fold_order;
   const RunSummary summary =
@@ -195,7 +192,7 @@ TEST(ConcurrencyStressTest, TransientFaultsRetrySucceed) {
   ASSERT_EQ(fold_order.size(), static_cast<size_t>(kChunks));
   for (size_t i = 0; i < fold_order.size(); ++i) EXPECT_EQ(fold_order[i], i);
   // Failed attempts land in the stage's failure metrics.
-  const std::vector<StageMetrics> metrics = runner.metrics();
+  const std::vector<StageMetrics> metrics = collector.Snapshot();
   ASSERT_EQ(metrics.size(), 1u);
   EXPECT_EQ(metrics[0].failures, static_cast<uint64_t>(kChunks));
   EXPECT_EQ(metrics[0].failures_by_reason.at("Internal"),
@@ -206,11 +203,10 @@ TEST(ConcurrencyStressTest, PoisonedChunkIsQuarantinedRunContinues) {
   // Chunk values are contiguous: chunk 2 of 10-value chunks holds 25.
   ThreadPool pool(4);
   constexpr int kChunks = 8;
-  auto chain = StageChain<int, int>(
-      std::make_shared<FaultyStage>(/*poison=*/25, /*flaky_attempts=*/0));
-  StageRunner<int, int>::Options options;
+  FaultyStep step(/*poison=*/25, /*flaky_attempts=*/0);
+  IntRunner::Options options;
   options.max_attempts = 2;
-  StageRunner<int, int> runner(std::move(chain), &pool, options);
+  IntRunner runner(Faulty(&step), &pool, options);
 
   std::vector<size_t> fold_order;
   std::vector<size_t> quarantine_order;
@@ -248,11 +244,10 @@ TEST(ConcurrencyStressTest, PoisonedChunkIsQuarantinedRunContinues) {
 
 TEST(ConcurrencyStressTest, FailFastAbortsOnExhaustedChunk) {
   ThreadPool pool(4);
-  auto chain = StageChain<int, int>(
-      std::make_shared<FaultyStage>(/*poison=*/25, /*flaky_attempts=*/0));
-  StageRunner<int, int>::Options options;
+  FaultyStep step(/*poison=*/25, /*flaky_attempts=*/0);
+  IntRunner::Options options;
   options.fail_fast = true;
-  StageRunner<int, int> runner(std::move(chain), &pool, options);
+  IntRunner runner(Faulty(&step), &pool, options);
 
   const RunSummary summary = runner.Run(
       MakeChunks(8, 10, &pool),
@@ -265,11 +260,10 @@ TEST(ConcurrencyStressTest, FailFastAbortsOnExhaustedChunk) {
 
 TEST(ConcurrencyStressTest, SinkErrorAbortsRunAndDrains) {
   ThreadPool pool(4);
-  auto chain = StageChain<int, int>(std::make_shared<AddOneStage>())
-                   .Then<int>(std::make_shared<KeepEvenStage>());
-  StageRunner<int, int>::Options options;
+  std::atomic<size_t> records{0};
+  IntRunner::Options options;
   options.max_in_flight = 4;
-  StageRunner<int, int> runner(std::move(chain), &pool, options);
+  IntRunner runner(AddOneKeepEven(&records), &pool, options);
 
   size_t folds = 0;
   const RunSummary summary =
@@ -292,11 +286,10 @@ TEST(ConcurrencyStressTest, SinkThrowDrainsInFlightTasks) {
   // Run frame (slots/mutex/condvar). ASan runs of this test catch the
   // use-after-free the old runner had.
   ThreadPool pool(4);
-  auto chain = StageChain<int, int>(std::make_shared<AddOneStage>())
-                   .Then<int>(std::make_shared<KeepEvenStage>());
-  StageRunner<int, int>::Options options;
+  std::atomic<size_t> records{0};
+  IntRunner::Options options;
   options.max_in_flight = 4;
-  StageRunner<int, int> runner(std::move(chain), &pool, options);
+  IntRunner runner(AddOneKeepEven(&records), &pool, options);
 
   EXPECT_THROW(
       runner.Run(MakeChunks(32, 10, &pool),
@@ -314,9 +307,8 @@ TEST(ConcurrencyStressTest, SinkThrowDrainsInFlightTasks) {
 
 TEST(ConcurrencyStressTest, ResumeCursorSkipsAccountedChunks) {
   ThreadPool pool(4);
-  auto chain = StageChain<int, int>(std::make_shared<AddOneStage>())
-                   .Then<int>(std::make_shared<KeepEvenStage>());
-  StageRunner<int, int> runner(std::move(chain), &pool);
+  std::atomic<size_t> records{0};
+  IntRunner runner(AddOneKeepEven(&records), &pool);
 
   std::vector<size_t> fold_order;
   const RunSummary summary = runner.Run(
@@ -341,9 +333,8 @@ TEST(ConcurrencyStressTest, ConcurrentRunnersShareOnePool) {
   ThreadPool pool(4);
   constexpr int kChunks = 16;
   auto drive = [&pool](std::vector<size_t>* order) {
-    auto chain = StageChain<int, int>(std::make_shared<AddOneStage>())
-                     .Then<int>(std::make_shared<KeepEvenStage>());
-    StageRunner<int, int> runner(std::move(chain), &pool);
+    std::atomic<size_t> records{0};
+    IntRunner runner(AddOneKeepEven(&records), &pool);
     runner.Run(MakeChunks(kChunks, 30, &pool),
                [order](size_t chunk, Dataset<int>) {
                  order->push_back(chunk);

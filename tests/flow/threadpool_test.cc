@@ -88,8 +88,8 @@ TEST(ThreadPoolTest, SequentialWaitsCompose) {
 }
 
 TEST(ThreadPoolTest, ParallelForFromInsideATask) {
-  // The stage runner executes whole stage chains inside pool tasks, and
-  // those stages call ParallelFor on the same pool. The caller must
+  // The stage runner executes a whole chunk step inside a pool task, and
+  // its steps call ParallelFor on the same pool. The caller must
   // participate in its own loop instead of parking on a global wait, or
   // this nests into deadlock.
   ThreadPool pool(2);

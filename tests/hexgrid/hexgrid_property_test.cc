@@ -138,7 +138,9 @@ TEST_P(GridPropertyTest, NeighborCountIsFiveOrSix) {
     if (count < 6) ++five_or_less;
   }
   // Seam cells are a vanishing fraction at fine resolutions.
-  if (res >= 6) EXPECT_LT(five_or_less, kSamples / 10);
+  if (res >= 6) {
+    EXPECT_LT(five_or_less, kSamples / 10);
+  }
 }
 
 TEST_P(GridPropertyTest, ParentChildHierarchyConsistent) {

@@ -117,7 +117,9 @@ TEST(CongestionTest, MeasuresStaysAndWaits) {
   uint64_t total_calls = 0;
   for (size_t i = 0; i < activity.size(); ++i) {
     total_calls += activity[i].calls;
-    if (i > 0) EXPECT_LE(activity[i].calls, activity[i - 1].calls);
+    if (i > 0) {
+      EXPECT_LE(activity[i].calls, activity[i - 1].calls);
+    }
     EXPECT_GT(activity[i].mean_stay_hours, 0.0);
     EXPECT_GE(activity[i].p90_stay_hours, activity[i].mean_stay_hours * 0.3);
   }
