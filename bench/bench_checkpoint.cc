@@ -91,7 +91,7 @@ int Run(int argc, char** argv) {
     extractor_config.resolution = config.resolution;
     double restore_s = bench::TimeSeconds([&] {
       const core::CheckpointManager manager(config.checkpoint);
-      const Result<core::CheckpointState> state = manager.LoadLatest();
+      const Result<core::LoadedCheckpoint> state = manager.LoadLatest();
       if (state.ok()) {
         core::InventoryBuilder builder(extractor_config);
         (void)builder.RestoreState(state->builder_state);

@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -28,6 +29,19 @@ Status ReadVarint(std::string_view* meta, uint64_t* value,
   return Status::OK();
 }
 
+// The stage stats' fields in their persisted order, as pointers into
+// `meta` (const for encoding, mutable for decoding).
+template <typename Meta>
+auto StatFields(Meta& meta) {
+  auto& c = meta.cleaning;
+  auto& e = meta.enrichment;
+  auto& t = meta.trips;
+  return std::array{&c.input, &c.invalid_fields, &c.duplicates,
+                    &c.infeasible_jumps, &c.kept, &e.input,
+                    &e.unknown_vessel, &e.non_commercial, &e.kept,
+                    &t.input, &t.trips, &t.annotated, &t.excluded};
+}
+
 std::string EncodeMeta(const CheckpointState& state) {
   std::string out;
   PutVarint64(&out, kCheckpointVersion);
@@ -41,6 +55,7 @@ std::string EncodeMeta(const CheckpointState& state) {
     PutVarint64(&out, static_cast<uint64_t>(entry.code));
     PutLengthPrefixed(&out, entry.message);
   }
+  for (const uint64_t* field : StatFields(state)) PutVarint64(&out, *field);
   return out;
 }
 
@@ -48,7 +63,8 @@ std::string EncodeMeta(const CheckpointState& state) {
 // a run could have written: the pipeline derives its coverage from
 // these fields (chunks folded = cursor - quarantined), so an
 // inconsistent but CRC-valid checkpoint is data loss, not a resume.
-Result<CheckpointState> DecodeCheckpoint(const store::SnapshotFileView& view) {
+Result<LoadedCheckpoint> DecodeCheckpoint(
+    const store::SnapshotFileView& view) {
   POL_ASSIGN_OR_RETURN(std::string_view meta,
                        view.Section(kCheckpointSectionMeta));
   uint64_t version = 0;
@@ -56,7 +72,7 @@ Result<CheckpointState> DecodeCheckpoint(const store::SnapshotFileView& view) {
   if (version != kCheckpointVersion) {
     return BadMeta("unsupported version " + std::to_string(version));
   }
-  CheckpointState state;
+  LoadedCheckpoint state;
   POL_RETURN_IF_ERROR(ReadVarint(&meta, &state.cursor, "cursor"));
   POL_RETURN_IF_ERROR(ReadVarint(&meta, &state.total_chunks, "total chunks"));
   if (state.cursor > state.total_chunks) {
@@ -92,10 +108,12 @@ Result<CheckpointState> DecodeCheckpoint(const store::SnapshotFileView& view) {
     entry.message = std::string(message);
     state.quarantined.push_back(std::move(entry));
   }
+  for (uint64_t* field : StatFields(state)) {
+    POL_RETURN_IF_ERROR(ReadVarint(&meta, field, "stage stats"));
+  }
   if (!meta.empty()) return BadMeta("trailing bytes");
-  POL_ASSIGN_OR_RETURN(std::string_view builder_state,
+  POL_ASSIGN_OR_RETURN(state.builder_state,
                        view.Section(kCheckpointSectionBuilderState));
-  state.builder_state = std::string(builder_state);
   return state;
 }
 
@@ -140,18 +158,20 @@ Status CheckpointManager::Write(CheckpointState state) {
   return status;
 }
 
-Result<CheckpointState> CheckpointManager::LoadLatest() const {
+Result<LoadedCheckpoint> CheckpointManager::LoadLatest() const {
   POL_TRACE_SPAN("checkpoint.load");
   const double start = obs::kEnabled ? obs::NowSeconds() : 0.0;
-  Result<CheckpointState> result = [&]() -> Result<CheckpointState> {
+  Result<LoadedCheckpoint> result = [&]() -> Result<LoadedCheckpoint> {
     if (!enabled()) {
       return Status::FailedPrecondition("checkpointing is disabled");
     }
-    CheckpointState state;
+    LoadedCheckpoint state;
     const auto accept = [&state](store::SnapshotStore::Opened* opened)
         -> Status {
       POL_RETURN_IF_ERROR(POL_FAILPOINT("checkpoint.read"));
       POL_ASSIGN_OR_RETURN(state, DecodeCheckpoint(opened->view));
+      // The builder view points into this mapping: keep it with it.
+      state.file = std::move(opened->file);
       return Status::OK();
     };
     POL_RETURN_IF_ERROR(store_.OpenLatest(accept).status());

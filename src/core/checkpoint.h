@@ -3,9 +3,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "core/cleaning.h"
+#include "core/enrich.h"
+#include "core/trips.h"
+#include "store/mapped_file.h"
 #include "store/snapshot_store.h"
 
 // Checkpoint/resume for the chunked pipeline. Every K accounted chunks
@@ -22,7 +27,7 @@
 // store::SnapshotStore rooted at the checkpoint directory: a POLSNAP1
 // container (store/snapshot_format.h) holding two sections.
 //
-//   id 0x80  checkpoint meta   varint version (=1)
+//   id 0x80  checkpoint meta   varint version (=2)
 //                              varint cursor        chunks accounted
 //                              varint total_chunks  of the run
 //                              varint quarantine count
@@ -30,6 +35,10 @@
 //                                varint records, varint attempts,
 //                                varint status code,
 //                                length-prefixed message
+//                              stage stats of the folded chunks, each
+//                                field a varint in declaration order:
+//                                CleaningStats (5), EnrichmentStats
+//                                (4), TripStats (4)
 //   id 0x81  builder state     InventoryBuilder::SerializeState bytes
 //
 // The ids are disjoint from the inventory schema's (core/snapshot_codec.h),
@@ -40,8 +49,12 @@
 // torn, corrupt and rejected generations and counts each skip in
 // `store.fallbacks`. The meta decode rejects inconsistent state (cursor
 // past the chunk count, more quarantined chunks than accounted ones,
-// unordered or out-of-range ledger entries) as kDataLoss, so such a
-// generation is fallen back past too. Checkpoint I/O carries the
+// unordered or out-of-range ledger entries) and any other meta version
+// as kDataLoss, so such a generation is fallen back past too: a
+// directory holding only version-1 generations starts a fresh run. A
+// loaded checkpoint keeps its generation mapped and hands out the
+// builder section in place, so restoring reads the (tens of MB) builder
+// state without copying it first. Checkpoint I/O carries the
 // "checkpoint.write" and "checkpoint.read" fail points, plus the
 // store's own.
 
@@ -50,7 +63,7 @@ namespace pol::core {
 // Section ids of the checkpoint schema inside a POLSNAP1 generation.
 inline constexpr uint32_t kCheckpointSectionMeta = 0x80;
 inline constexpr uint32_t kCheckpointSectionBuilderState = 0x81;
-inline constexpr uint64_t kCheckpointVersion = 1;
+inline constexpr uint64_t kCheckpointVersion = 2;
 
 struct CheckpointConfig {
   // Snapshot directory; empty disables checkpointing. Created on the
@@ -75,12 +88,28 @@ struct CheckpointQuarantineEntry {
   std::string message;
 };
 
-// Everything a snapshot carries.
-struct CheckpointState {
+// Everything a snapshot carries besides the builder bytes.
+struct CheckpointMeta {
   uint64_t cursor = 0;        // Chunks accounted (folded or quarantined).
   uint64_t total_chunks = 0;  // Chunk count of the checkpointed run.
   std::vector<CheckpointQuarantineEntry> quarantined;
+  // Stage stats summed over the chunks folded before the cursor, so a
+  // resumed run reports the whole archive (paper Table 1).
+  CleaningStats cleaning;
+  EnrichmentStats enrichment;
+  TripStats trips;
+};
+
+// A snapshot to write.
+struct CheckpointState : CheckpointMeta {
   std::string builder_state;  // InventoryBuilder::SerializeState bytes.
+};
+
+// A loaded snapshot. `builder_state` points into `file`, the
+// generation's mapping, which stays mapped as long as this object.
+struct LoadedCheckpoint : CheckpointMeta {
+  std::string_view builder_state;
+  store::MappedFile file;
 };
 
 class CheckpointManager {
@@ -104,7 +133,7 @@ class CheckpointManager {
   // "checkpoint.read" (a fired read rejects the generation under
   // inspection, so fallback — and ultimately a fresh start — still
   // works).
-  Result<CheckpointState> LoadLatest() const;
+  Result<LoadedCheckpoint> LoadLatest() const;
 
   // Snapshot paths currently on disk, ascending by generation.
   std::vector<std::string> ListSnapshots() const;

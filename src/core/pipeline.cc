@@ -134,7 +134,9 @@ PipelineResult RunPipelineImpl(
   size_t start_chunk = 0;
   if (checkpoints.enabled()) {
     POL_TRACE_SPAN("pipeline.resume");
-    Result<CheckpointState> restored = checkpoints.LoadLatest();
+    // The builder state is read in place from the generation's
+    // mapping, which `restored` holds until this block ends.
+    Result<LoadedCheckpoint> restored = checkpoints.LoadLatest();
     if (restored.ok()) {
       Status restore_status = builder.RestoreState(restored->builder_state);
       if (restore_status.ok() &&
@@ -162,6 +164,9 @@ PipelineResult RunPipelineImpl(
       }
       result.coverage.chunks_folded =
           start_chunk - result.coverage.chunks_quarantined;
+      result.cleaning = restored->cleaning;
+      result.enrichment = restored->enrichment;
+      result.trips = restored->trips;
     }
     // NotFound (no snapshot yet) and unreadable/corrupt snapshots both
     // mean a fresh start; LoadLatest already fell back as far as it
@@ -194,6 +199,9 @@ PipelineResult RunPipelineImpl(
     state.cursor = cursor;
     state.total_chunks = total_chunks;
     state.quarantined = quarantine_ledger;
+    state.cleaning = result.cleaning;
+    state.enrichment = result.enrichment;
+    state.trips = result.trips;
     builder.SerializeState(&state.builder_state);
     Status written = checkpoints.Write(std::move(state));
     if (written.ok()) {

@@ -41,7 +41,8 @@
 // quarantined one not at all. With checkpointing configured, builder
 // state is snapshotted every `interval_chunks` accounted chunks, and a
 // rerun over the same input resumes from the newest valid snapshot
-// instead of starting over.
+// instead of starting over, and reports the same stats and inventory
+// as an uninterrupted run.
 
 namespace pol::core {
 
@@ -111,8 +112,9 @@ struct PipelineResult {
   // End-to-end wall time of the RunPipeline call, set on every return
   // path (including aborted runs).
   double wall_seconds = 0.0;
-  // Step stats of the chunks folded by this call (not of restored or
-  // quarantined chunks).
+  // Step stats of every folded chunk, including those restored from a
+  // snapshot (the checkpoint carries their sums); quarantined chunks
+  // count in none of them.
   CleaningStats cleaning;
   EnrichmentStats enrichment;
   TripStats trips;

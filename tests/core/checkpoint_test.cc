@@ -80,11 +80,19 @@ CheckpointState SampleState() {
   entry.code = StatusCode::kCorruption;
   entry.message = "cleaning: poisoned chunk";
   state.quarantined.push_back(entry);
+  state.cleaning = {.input = 500,
+                    .invalid_fields = 3,
+                    .duplicates = 4,
+                    .infeasible_jumps = 5,
+                    .kept = 488};
+  state.enrichment = {
+      .input = 488, .unknown_vessel = 6, .non_commercial = 70, .kept = 412};
+  state.trips = {.input = 412, .trips = 9, .annotated = 400, .excluded = 12};
   state.builder_state = "opaque builder bytes";
   return state;
 }
 
-void ExpectStatesEqual(const CheckpointState& a, const CheckpointState& b) {
+void ExpectStatesEqual(const LoadedCheckpoint& a, const CheckpointState& b) {
   EXPECT_EQ(a.cursor, b.cursor);
   EXPECT_EQ(a.total_chunks, b.total_chunks);
   ASSERT_EQ(a.quarantined.size(), b.quarantined.size());
@@ -95,6 +103,9 @@ void ExpectStatesEqual(const CheckpointState& a, const CheckpointState& b) {
     EXPECT_EQ(a.quarantined[i].code, b.quarantined[i].code);
     EXPECT_EQ(a.quarantined[i].message, b.quarantined[i].message);
   }
+  EXPECT_EQ(a.cleaning, b.cleaning);
+  EXPECT_EQ(a.enrichment, b.enrichment);
+  EXPECT_EQ(a.trips, b.trips);
   EXPECT_EQ(a.builder_state, b.builder_state);
 }
 
@@ -109,7 +120,7 @@ TEST_F(CheckpointTest, WriteLoadRoundTripAndSequenceNumbers) {
   state.cursor = 4;
   ASSERT_TRUE(manager.Write(state).ok());
 
-  const Result<CheckpointState> loaded = manager.LoadLatest();
+  const Result<LoadedCheckpoint> loaded = manager.LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectStatesEqual(*loaded, state);
 
@@ -118,7 +129,7 @@ TEST_F(CheckpointTest, WriteLoadRoundTripAndSequenceNumbers) {
   CheckpointManager resumed(Config());
   state.cursor = 6;
   ASSERT_TRUE(resumed.Write(state).ok());
-  const Result<CheckpointState> newest = resumed.LoadLatest();
+  const Result<LoadedCheckpoint> newest = resumed.LoadLatest();
   ASSERT_TRUE(newest.ok());
   EXPECT_EQ(newest->cursor, 6u);
 }
@@ -132,7 +143,7 @@ TEST_F(CheckpointTest, RotationKeepsNewestSnapshots) {
   }
   const std::vector<std::string> snapshots = manager.ListSnapshots();
   EXPECT_EQ(snapshots.size(), 2u);
-  const Result<CheckpointState> loaded = manager.LoadLatest();
+  const Result<LoadedCheckpoint> loaded = manager.LoadLatest();
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->cursor, 5u);
 }
@@ -153,7 +164,7 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToPrevious) {
                        std::ios::binary | std::ios::trunc);
     file << "not a snapshot";
   }
-  const Result<CheckpointState> loaded = manager.LoadLatest();
+  const Result<LoadedCheckpoint> loaded = manager.LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->cursor, 2u);
 
@@ -192,7 +203,7 @@ TEST_F(CheckpointTest, DurableWriteFaultKeepsPreviousCheckpoint) {
   for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
-  const Result<CheckpointState> loaded = manager.LoadLatest();
+  const Result<LoadedCheckpoint> loaded = manager.LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectStatesEqual(*loaded, previous);
 }
@@ -243,6 +254,9 @@ struct MetaFields {
   uint64_t total_chunks = 8;
   // {chunk_index, status code} per ledger entry.
   std::vector<std::pair<uint64_t, uint64_t>> ledger = {{1, 5}};
+  // Cleaning (5), enrichment (4) and trip (4) stats, in field order.
+  std::vector<uint64_t> stats = {90, 1, 2, 3, 84, 84, 4, 20,
+                                 60, 60, 2, 55, 5};
   std::string trailing;
 
   std::string Encode() const {
@@ -258,6 +272,7 @@ struct MetaFields {
       PutVarint64(&out, code);
       PutLengthPrefixed(&out, "quarantined");
     }
+    for (const uint64_t field : stats) PutVarint64(&out, field);
     out += trailing;
     return out;
   }
@@ -283,13 +298,17 @@ TEST_F(CheckpointTest, HandBuiltImageLoads) {
   // each rejection is that field's.
   store::SnapshotStore store(store::SnapshotStoreOptions{directory_, 8});
   ASSERT_TRUE(store.Publish(CheckpointImage(MetaFields{})).ok());
-  const Result<CheckpointState> loaded = CheckpointManager(Config()).LoadLatest();
+  const Result<LoadedCheckpoint> loaded =
+      CheckpointManager(Config()).LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->cursor, 4u);
   EXPECT_EQ(loaded->total_chunks, 8u);
   ASSERT_EQ(loaded->quarantined.size(), 1u);
   EXPECT_EQ(loaded->quarantined[0].chunk_index, 1u);
   EXPECT_EQ(loaded->quarantined[0].code, StatusCode::kCorruption);
+  EXPECT_EQ(loaded->cleaning, (CleaningStats{90, 1, 2, 3, 84}));
+  EXPECT_EQ(loaded->enrichment, (EnrichmentStats{84, 4, 20, 60}));
+  EXPECT_EQ(loaded->trips, (TripStats{60, 2, 55, 5}));
   EXPECT_EQ(loaded->builder_state, "builder bytes");
 }
 
@@ -334,6 +353,20 @@ TEST_F(CheckpointTest, InconsistentMetaIsDataLossAndFallsBack) {
     cases.push_back(c);
   }
   {
+    // A version-1 generation carries no stage stats; it is refused
+    // like any foreign version, so a run finding only those starts
+    // fresh.
+    Case c{"unsupported version 1", {}};
+    c.meta.version = 1;
+    c.meta.stats.clear();
+    cases.push_back(c);
+  }
+  {
+    Case c{"truncated at stage stats", {}};
+    c.meta.stats.pop_back();
+    cases.push_back(c);
+  }
+  {
     Case c{"trailing bytes", {}};
     c.meta.trailing = "x";
     cases.push_back(c);
@@ -355,7 +388,7 @@ TEST_F(CheckpointTest, InconsistentMetaIsDataLossAndFallsBack) {
     // below it.
     ASSERT_TRUE(store.Publish(CheckpointImage(c.meta, c.with_builder)).ok());
     const uint64_t fallbacks_before = Fallbacks();
-    const Result<CheckpointState> loaded = manager.LoadLatest();
+    const Result<LoadedCheckpoint> loaded = manager.LoadLatest();
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ExpectStatesEqual(*loaded, good);
     if (obs::kEnabled) {
@@ -409,7 +442,7 @@ class CheckpointFuzzTest : public CheckpointTest {
   void ExpectFallsBack(std::string_view bytes, const std::string& what) {
     Overwrite(newest_path_, bytes);
     const uint64_t fallbacks_before = Fallbacks();
-    const Result<CheckpointState> loaded =
+    const Result<LoadedCheckpoint> loaded =
         CheckpointManager(Config()).LoadLatest();
     ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
     ASSERT_EQ(loaded->cursor, older_.cursor) << what;
@@ -426,7 +459,7 @@ class CheckpointFuzzTest : public CheckpointTest {
 
 TEST_F(CheckpointFuzzTest, UntamperedNewestLoads) {
   Overwrite(newest_path_, image_);
-  const Result<CheckpointState> loaded =
+  const Result<LoadedCheckpoint> loaded =
       CheckpointManager(Config()).LoadLatest();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   CheckpointState newest = older_;

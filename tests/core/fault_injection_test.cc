@@ -25,9 +25,12 @@
 #include "common/quarantine.h"
 #include "common/status.h"
 #include "common/time_util.h"
+#include "common/varint.h"
 #include "core/checkpoint.h"
 #include "core/pipeline.h"
 #include "sim/fleet.h"
+#include "store/snapshot_format.h"
+#include "store/snapshot_store.h"
 
 namespace pol::core {
 namespace {
@@ -73,21 +76,41 @@ std::string InventoryBytes(const PipelineResult& result) {
   return bytes;
 }
 
-// Serialized inventory of an uninterrupted checkpointed run — the
-// baseline every killed-and-resumed run must reproduce exactly.
-const std::string& ReferenceBytes() {
-  static const std::string* bytes = [] {
+// An uninterrupted checkpointed run: the serialized inventory and stage
+// stats every killed-and-resumed run must reproduce exactly.
+struct Reference {
+  std::string bytes;
+  CleaningStats cleaning;
+  EnrichmentStats enrichment;
+  TripStats trips;
+};
+
+const Reference& UninterruptedRun() {
+  static const Reference* reference = [] {
     const std::string dir =
         (std::filesystem::path(::testing::TempDir()) / "pol_fault_reference")
             .string();
     std::filesystem::remove_all(dir);
     const PipelineResult result =
         RunPipeline(Archive().reports, Archive().fleet, BaseConfig(dir));
-    auto* out = new std::string(InventoryBytes(result));
+    auto* out = new Reference{InventoryBytes(result), result.cleaning,
+                              result.enrichment, result.trips};
     std::filesystem::remove_all(dir);
     return out;
   }();
-  return *bytes;
+  return *reference;
+}
+
+const std::string& ReferenceBytes() { return UninterruptedRun().bytes; }
+
+// A resumed run reports the stats of the whole archive, not only of the
+// chunks it folded after the resume.
+void ExpectReferenceStats(const PipelineResult& result) {
+  EXPECT_EQ(result.cleaning, UninterruptedRun().cleaning);
+  EXPECT_EQ(result.enrichment, UninterruptedRun().enrichment);
+  EXPECT_EQ(result.trips, UninterruptedRun().trips);
+  EXPECT_EQ(result.cleaning.input + result.coverage.records_quarantined,
+            Archive().reports.size());
 }
 
 class FaultInjectionTest : public ::testing::Test {
@@ -132,6 +155,8 @@ TEST_F(FaultInjectionTest, RerunAfterCompleteRunResumesAtFinalCursor) {
   EXPECT_EQ(rerun.coverage.checkpoints_written, 0u);
   EXPECT_EQ(rerun.aggregated_records, first.aggregated_records);
   EXPECT_EQ(InventoryBytes(rerun), ReferenceBytes());
+  ExpectReferenceStats(first);
+  ExpectReferenceStats(rerun);
 }
 
 TEST_F(FaultInjectionTest, CorruptNewestSnapshotFallsBackToOlder) {
@@ -155,6 +180,30 @@ TEST_F(FaultInjectionTest, CorruptNewestSnapshotFallsBackToOlder) {
   EXPECT_EQ(resumed.coverage.resume_cursor, 4u);
   EXPECT_EQ(resumed.coverage.chunks_folded, static_cast<size_t>(kChunks));
   EXPECT_EQ(InventoryBytes(resumed), ReferenceBytes());
+  ExpectReferenceStats(resumed);
+}
+
+TEST_F(FaultInjectionTest, VersionOneCheckpointStartsAFreshRun) {
+  // A generation in the version-1 meta layout, which carried no stage
+  // stats: resuming from it would under-report them, so it is refused
+  // and the run starts over.
+  std::string meta;
+  PutVarint64(&meta, 1);  // version
+  PutVarint64(&meta, 2);  // cursor
+  PutVarint64(&meta, kChunks);
+  PutVarint64(&meta, 0);  // quarantine count
+  store::SnapshotFileBuilder image;
+  image.AddSection(kCheckpointSectionMeta, meta);
+  image.AddSection(kCheckpointSectionBuilderState, "builder bytes");
+  store::SnapshotStore store(store::SnapshotStoreOptions{directory_, 2});
+  ASSERT_TRUE(store.Publish(image.Finish()).ok());
+
+  const PipelineResult result = Run(BaseConfig(directory_));
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_FALSE(result.coverage.resumed);
+  EXPECT_EQ(result.coverage.chunks_folded, static_cast<size_t>(kChunks));
+  EXPECT_EQ(InventoryBytes(result), ReferenceBytes());
+  ExpectReferenceStats(result);
 }
 
 TEST_F(FaultInjectionTest, ResumeRefusesMismatchedChunkCount) {
@@ -192,7 +241,7 @@ void KillAndResume(const std::string& directory, const std::string& point,
   const CheckpointManager survivors(killed_config.checkpoint);
   ASSERT_EQ(survivors.ListSnapshots().size(), 1u)
       << "exactly the cursor-2 snapshot must survive the kill";
-  const Result<CheckpointState> survivor = survivors.LoadLatest();
+  const Result<LoadedCheckpoint> survivor = survivors.LoadLatest();
   ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
   EXPECT_EQ(survivor->cursor, 2u);
 
@@ -204,6 +253,7 @@ void KillAndResume(const std::string& directory, const std::string& point,
   EXPECT_EQ(resumed.coverage.chunks_folded, static_cast<size_t>(kChunks));
   EXPECT_EQ(resumed.coverage.chunks_quarantined, 0u);
   EXPECT_EQ(InventoryBytes(resumed), ReferenceBytes());
+  ExpectReferenceStats(resumed);
 }
 
 TEST_F(FaultInjectionTest, KilledAndResumedRunIsByteIdenticalAtEveryStage) {
@@ -273,7 +323,7 @@ TEST_F(FaultInjectionTest, ManifestFaultAfterDurableGenerationResumesFromIt) {
 
   const CheckpointManager survivors(killed_config.checkpoint);
   EXPECT_EQ(survivors.ListSnapshots().size(), 2u);
-  const Result<CheckpointState> survivor = survivors.LoadLatest();
+  const Result<LoadedCheckpoint> survivor = survivors.LoadLatest();
   ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
   EXPECT_EQ(survivor->cursor, 4u);
 
@@ -283,6 +333,7 @@ TEST_F(FaultInjectionTest, ManifestFaultAfterDurableGenerationResumesFromIt) {
   EXPECT_EQ(resumed.coverage.resume_cursor, 4u);
   EXPECT_EQ(resumed.coverage.chunks_folded, static_cast<size_t>(kChunks));
   EXPECT_EQ(InventoryBytes(resumed), ReferenceBytes());
+  ExpectReferenceStats(resumed);
 }
 
 TEST_F(FaultInjectionTest, ReadFaultFallsBackAcrossSnapshots) {
@@ -408,6 +459,39 @@ TEST_F(FaultInjectionTest, QuarantinedChunkIsNotCountedInStageStats) {
             Archive().reports.size());
   EXPECT_EQ(result.enrichment.input, result.cleaning.kept);
   EXPECT_EQ(result.trips.input, result.enrichment.kept);
+}
+
+TEST_F(FaultInjectionTest, ResumedQuarantineRunAccountsForEveryReport) {
+  if (!kFailPointsEnabled) {
+    GTEST_SKIP() << "fail points compiled out; use the faults preset";
+  }
+  // Chunk 1 is quarantined (both attempts fail at trips) in a
+  // checkpointed run; the rerun resumes at the final cursor with the
+  // quarantine ledger and the stage stats restored from the snapshot,
+  // and reports exactly what the first run did.
+  PipelineConfig config = BaseConfig(directory_);
+  config.max_attempts = 2;
+  FailPointSpec spec;
+  spec.fire_from = 1;
+  spec.fire_count = 2;
+  spec.code = StatusCode::kCorruption;
+  FailPointRegistry::Global().Arm("stage.trips", spec);
+  const PipelineResult first = Run(config);
+  FailPointRegistry::Global().Reset();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_EQ(first.coverage.chunks_quarantined, 1u);
+
+  const PipelineResult rerun = Run(config);
+  ASSERT_TRUE(rerun.status.ok()) << rerun.status.ToString();
+  EXPECT_TRUE(rerun.coverage.resumed);
+  EXPECT_EQ(rerun.coverage.resume_cursor, static_cast<uint64_t>(kChunks));
+  EXPECT_EQ(rerun.coverage.records_quarantined,
+            first.coverage.records_quarantined);
+  EXPECT_EQ(rerun.cleaning, first.cleaning);
+  EXPECT_EQ(rerun.enrichment, first.enrichment);
+  EXPECT_EQ(rerun.trips, first.trips);
+  EXPECT_EQ(rerun.cleaning.input + rerun.coverage.records_quarantined,
+            Archive().reports.size());
 }
 
 TEST_F(FaultInjectionTest, IngestFailPointDeadLettersTheSentence) {
