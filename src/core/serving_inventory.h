@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <version>
 
 #include "common/mutex.h"
@@ -14,15 +13,20 @@
 #include "core/inventory_snapshot.h"
 
 // The hot-swap serving store: an atomic holder of the current immutable
-// InventorySnapshot plus the build-side Inventory it was sealed from.
-// Readers Acquire() the active snapshot (one atomic shared_ptr load)
-// and query it lock-free; Refresh() folds a new batch into the build
-// side, seals a fresh snapshot in the background, and publishes it with
-// Swap(). A sealed snapshot serves its heap image exactly as a stored
-// one serves its mapping, summaries decoding lazily on first touch.
-// Concurrent readers keep querying the old snapshot, which
-// stays alive until its last shared_ptr drops. This is the paper's
-// daily incremental fold turned into a zero-downtime refresh.
+// InventorySnapshot. Readers Acquire() the active snapshot (one atomic
+// shared_ptr load) and query it lock-free; Refresh() merge-seals a
+// delta into the newest sealed image (InventorySnapshot::MergeSeal:
+// untouched summaries copied verbatim, only the delta's keys decoded
+// and re-encoded) and publishes the result with Swap(). A sealed
+// snapshot serves its heap image exactly as a stored one serves its
+// mapping, summaries decoding lazily on first touch. Concurrent
+// readers keep querying the old snapshot, which stays alive until its
+// last shared_ptr drops. This is the paper's daily incremental fold
+// turned into a zero-downtime refresh.
+//
+// No build-side Inventory is kept: the image is the refresh foundation,
+// so a process cold-started from a stored generation refreshes it as
+// fully as the process that sealed it.
 //
 // ServingInventory is a holder, not a query surface: readers Acquire()
 // a snapshot (or go through ServingGuard, which acquires per call) and
@@ -31,9 +35,11 @@
 // sweep) sees one consistent view across its calls.
 //
 // Metrics (obs::Registry, surfaced in the pol.run_report/1 metrics
-// block): serving.seal_seconds (histogram, recorded by Seal),
-// serving.seals / serving.swaps / serving.reader_acquisitions
-// (counters), serving.active_snapshot_summaries (gauge).
+// block): serving.seal_seconds (histogram, recorded by every seal and
+// merge-seal), serving.seals / serving.swaps /
+// serving.reader_acquisitions / serving.refresh.keys_copied /
+// serving.refresh.keys_merged / serving.refresh.keys_added (counters),
+// serving.active_snapshot_summaries (gauge).
 
 // Snapshot-holder backend selection. The lock-free path needs library
 // support for std::atomic<std::shared_ptr>; ThreadSanitizer builds use
@@ -60,24 +66,28 @@ namespace pol::core {
 
 class ServingInventory final {
  public:
-  // Takes ownership of the build side and publishes its first snapshot.
+  // Serves `initial` as-is — no seal. This is the zero-copy cold-start
+  // path: `initial` is typically a stored generation
+  // (core/snapshot_codec.h) served straight off its mapping. It is also
+  // the first refresh foundation.
+  explicit ServingInventory(std::shared_ptr<const InventorySnapshot> initial);
+
+  // Seals `base` and serves the result.
   explicit ServingInventory(Inventory base);
 
-  // Takes ownership of the build side and publishes `initial` as-is —
-  // no seal. This is the zero-copy cold-start path: `initial` is
-  // typically a stored generation (core/snapshot_codec.h) served
-  // straight off its mapping. Resolutions must agree (POL_CHECKed).
+  // Serves `initial` after checking that `base` has its resolution
+  // (POL_CHECKed), then drops `base`: the served image, not a build
+  // side, is what Refresh merges into.
   ServingInventory(Inventory base,
                    std::shared_ptr<const InventorySnapshot> initial);
 
   // Cold start from a snapshot store: maps the newest readable
   // generation (falling back past corrupt ones) and serves it
-  // immediately over an *empty* build side — queries are answered in
-  // mmap time, no LoadFromFile, no Seal. Note a later Refresh seals
-  // from the build side, which starts empty here: processes that also
-  // restore build-side state should use the second overload, which
-  // serves the stored snapshot while keeping `base` as the refresh
-  // foundation (resolutions must match).
+  // immediately — queries are answered in mmap time, no LoadFromFile,
+  // no Seal — and later refreshes merge into it. The second overload
+  // first checks that `base` has the stored generation's resolution
+  // (FailedPrecondition otherwise), then drops it like the constructor
+  // above.
   static Result<std::unique_ptr<ServingInventory>> OpenLatest(
       const store::SnapshotStore& store, uint64_t* generation = nullptr);
   static Result<std::unique_ptr<ServingInventory>> OpenLatest(
@@ -88,8 +98,8 @@ class ServingInventory final {
   // freshly sealed snapshot's image to `durable` as it is
   // (InventorySnapshot::WriteTo, no re-encode) *before* swapping it in,
   // so readers never see a snapshot that is not durable. A publish
-  // failure fails the Refresh with the build side holding the merged
-  // delta and the old snapshot still serving — the same retryable
+  // failure fails the Refresh with the old snapshot still serving and
+  // the delta kept in the refresh foundation — the same retryable
   // contract as the serving.swap fail point, so the refresh circuit
   // breaker (core/serving_guard.h) trips on a persistently failing
   // store. Pass nullptr to detach. The store must outlive this object;
@@ -101,25 +111,26 @@ class ServingInventory final {
   // across any number of concurrent Swap()s.
   std::shared_ptr<const InventorySnapshot> Acquire() const;
 
-  // Folds `delta` into the build side, seals, and publishes. Readers
-  // see either the old or the new snapshot, never a partial merge.
-  // Serialized against concurrent Refresh() calls; fails on resolution
-  // mismatch (the build side is left unchanged on failure, and the
-  // active snapshot is never republished on any failure path).
+  // Merge-seals `delta` into the refresh foundation — the newest sealed
+  // image, published or not — and publishes the result. Every
+  // successful refresh, an empty delta's included, publishes a new
+  // generation with a new seal sequence. Readers see either the old or
+  // the new snapshot, never a partial merge. Serialized against
+  // concurrent Refresh() calls. Fails with nothing changed on a
+  // resolution mismatch (FailedPrecondition) or when a summary the
+  // delta shares with the image does not decode (kDataLoss); the active
+  // snapshot is never republished on any failure path.
   //
-  // Fail points (faults preset): "serving.merge" fires before the fold
-  // (build side untouched — a poisoned delta), "serving.seal" after the
-  // fold but before sealing, "serving.swap" after sealing but before
-  // publishing. The latter two model a refresh that died mid-flight:
-  // the build side holds the merged delta, the last good snapshot keeps
-  // serving, and the next successful Refresh publishes everything. The
-  // refresh circuit breaker (core/serving_guard.h) trips on consecutive
-  // failures from any of the three.
+  // Fail points (faults preset): "serving.merge" fires before the
+  // merge-seal (nothing changes — a poisoned delta), "serving.seal"
+  // after the merge-seal has written the new image but before it is
+  // published, "serving.swap" after publishing but before the swap. The
+  // latter two model a refresh that died mid-flight: the new image
+  // becomes the refresh foundation, the last good snapshot keeps
+  // serving, and the next successful Refresh publishes every delta
+  // folded so far. The refresh circuit breaker (core/serving_guard.h)
+  // trips on consecutive failures from any of the three.
   Status Refresh(Inventory&& delta);
-
-  // Publishes an externally built snapshot (e.g. sealed from a
-  // full rebuild). Must not be null.
-  void Swap(std::shared_ptr<const InventorySnapshot> next);
 
   // Snapshots published so far, the initial one included.
   uint64_t swap_count() const {
@@ -127,9 +138,9 @@ class ServingInventory final {
   }
 
   // Seal sequence of the active snapshot (the process-wide ordinal
-  // Inventory::Seal stamped into InventorySnapshotStats) — the
-  // snapshot id query-log rows and the serving.snapshot.active_id
-  // gauge carry. 0 only before the constructor's first Swap.
+  // stamped into InventorySnapshotStats by every seal) — the snapshot
+  // id query-log rows and the serving.snapshot.active_id gauge carry.
+  // 0 only before the constructor's first Swap.
   uint64_t active_seal_sequence() const {
     return active_seal_sequence_.load(std::memory_order_relaxed);
   }
@@ -138,19 +149,20 @@ class ServingInventory final {
   // staleness the serving.snapshot.age_ms gauge tracks.
   double active_snapshot_age_seconds() const;
 
-  // Canonical bytes of the build side (Inventory::SerializeTo under the
-  // refresh lock): the persistence hook for checkpointing the serving
-  // store, and the byte-identity witness the refresh-failure guarantees
-  // are tested against.
-  void SerializeBuildSide(std::string* out) const;
-
   // Summaries and distinct cells of the active snapshot.
   size_t size() const { return Acquire()->size(); }
   uint64_t DistinctCells() const { return Acquire()->DistinctCells(); }
 
  private:
+  // Makes `next` the active snapshot. Must not be null.
+  void Swap(std::shared_ptr<const InventorySnapshot> next);
+
   mutable Mutex refresh_mutex_;
-  Inventory base_ POL_GUARDED_BY(refresh_mutex_);
+  // What the next Refresh merges into: the newest sealed image. It runs
+  // ahead of the active snapshot only after a refresh that failed past
+  // its merge-seal.
+  std::shared_ptr<const InventorySnapshot> foundation_
+      POL_GUARDED_BY(refresh_mutex_);
   // Durable publish target of Refresh; nullptr = in-memory only.
   store::SnapshotStore* durable_store_ POL_GUARDED_BY(refresh_mutex_) =
       nullptr;

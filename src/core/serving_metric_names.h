@@ -42,6 +42,14 @@ inline constexpr std::string_view kMetricServingSwaps = "serving.swaps";
 inline constexpr std::string_view kMetricServingSeals = "serving.seals";
 inline constexpr std::string_view kMetricServingSealSeconds =
     "serving.seal_seconds";
+// What each refresh's merge-seal did with the image's keys: copied
+// verbatim, decoded and merged with a delta summary, or added new.
+inline constexpr std::string_view kMetricServingRefreshKeysCopied =
+    "serving.refresh.keys_copied";
+inline constexpr std::string_view kMetricServingRefreshKeysMerged =
+    "serving.refresh.keys_merged";
+inline constexpr std::string_view kMetricServingRefreshKeysAdded =
+    "serving.refresh.keys_added";
 inline constexpr std::string_view kMetricServingActiveSnapshotSummaries =
     "serving.active_snapshot_summaries";
 inline constexpr std::string_view kMetricServingActiveSnapshotId =

@@ -72,12 +72,12 @@ TEST(ServingInventoryTest, PublishesOnConstructionAndRefresh) {
 }
 
 TEST(ServingInventoryTest, FailedRefreshLeavesBothSidesByteIdentical) {
-  // A resolution-mismatched delta must be a complete no-op: build side
+  // A resolution-mismatched delta must be a complete no-op: served image
   // byte-identical, the very same snapshot object still published, and
   // no swap recorded.
   ServingInventory serving(Batch(0, 3));
   std::string before;
-  serving.SerializeBuildSide(&before);
+  serving.Acquire()->EncodeTo(&before);
   const std::shared_ptr<const InventorySnapshot> active = serving.Acquire();
   const uint64_t swaps = serving.swap_count();
 
@@ -89,7 +89,7 @@ TEST(ServingInventoryTest, FailedRefreshLeavesBothSidesByteIdentical) {
   EXPECT_FALSE(status.IsRetryable());
 
   std::string after;
-  serving.SerializeBuildSide(&after);
+  serving.Acquire()->EncodeTo(&after);
   EXPECT_EQ(before, after);
   EXPECT_EQ(serving.Acquire().get(), active.get());
   EXPECT_EQ(serving.swap_count(), swaps);
@@ -154,6 +154,12 @@ TEST(ServingInventoryTest, ReadersNeverSeeTornSnapshotsAcrossSwaps) {
     });
   }
 
+  // A refresh of this tiny inventory takes microseconds, so all of them
+  // could land before a reader thread is first scheduled; start them
+  // once the readers are reading.
+  while (reads.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int g = 1; g <= kRefreshes; ++g) {
     ASSERT_TRUE(serving.Refresh(Batch(g, 2)).ok());
   }

@@ -149,9 +149,8 @@ TEST_F(ServingStoreTest, ColdStartServesWithoutSealing) {
   (*serving)->AttachDurableStore(&restarted);
   ASSERT_TRUE((*serving)->Refresh(Batch(2, 4)).ok());
   EXPECT_EQ(restarted.ListGenerations(), (std::vector<uint64_t>{1, 2}));
-  // The refresh sealed from the (empty) build side plus the new delta —
-  // the documented caveat of the empty-base overload.
-  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 4u);
+  // The refresh merged the delta into the served image: full history.
+  EXPECT_EQ(Corridor(*(*serving)->Acquire()), 12u);
 }
 
 TEST_F(ServingStoreTest, ColdStartWithRestoredBaseRefreshesFully) {
@@ -280,7 +279,7 @@ TEST_F(ServingStoreTest, KillDuringPublishRecoversPreviousGeneration) {
       OpenLatestSnapshot(restarted, &recovered);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(recovered, 3u);
-  EXPECT_EQ(Corridor(**reopened), 4u);  // Sealed from empty base + batch 3.
+  EXPECT_EQ(Corridor(**reopened), 12u);  // Generation 1 + batch 3.
 }
 
 }  // namespace
