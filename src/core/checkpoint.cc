@@ -135,11 +135,15 @@ Status CheckpointManager::Write(CheckpointState state) {
       return Status::FailedPrecondition("checkpointing is disabled");
     }
     POL_RETURN_IF_ERROR(POL_FAILPOINT("checkpoint.write"));
-    store::SnapshotFileBuilder builder;
-    builder.AddSection(kCheckpointSectionMeta, EncodeMeta(state));
-    builder.AddSection(kCheckpointSectionBuilderState,
-                       std::move(state.builder_state));
-    const std::string image = builder.Finish();
+    const std::string meta = EncodeMeta(state);
+    store::SnapshotFileWriter writer(2,
+                                     meta.size() + state.builder_state.size());
+    writer.BeginSection(kCheckpointSectionMeta)->append(meta);
+    writer.BeginSection(kCheckpointSectionBuilderState)
+        ->append(state.builder_state);
+    // The image holds its copy now; free the state before publishing.
+    std::string().swap(state.builder_state);
+    const std::string image = writer.Finish();
     POL_RETURN_IF_ERROR(store_.Publish(image).status());
     bytes_written = image.size();
     return Status::OK();

@@ -279,12 +279,13 @@ struct MetaFields {
 };
 
 std::string CheckpointImage(const MetaFields& meta, bool with_builder = true) {
-  store::SnapshotFileBuilder builder;
-  builder.AddSection(kCheckpointSectionMeta, meta.Encode());
+  store::SnapshotFileWriter writer(with_builder ? 2 : 1);
+  writer.BeginSection(kCheckpointSectionMeta)->append(meta.Encode());
   if (with_builder) {
-    builder.AddSection(kCheckpointSectionBuilderState, "builder bytes");
+    writer.BeginSection(kCheckpointSectionBuilderState)
+        ->append("builder bytes");
   }
-  return builder.Finish();
+  return writer.Finish();
 }
 
 // Damages `path` in place by overwriting it with `bytes`.

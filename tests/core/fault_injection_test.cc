@@ -192,9 +192,9 @@ TEST_F(FaultInjectionTest, VersionOneCheckpointStartsAFreshRun) {
   PutVarint64(&meta, 2);  // cursor
   PutVarint64(&meta, kChunks);
   PutVarint64(&meta, 0);  // quarantine count
-  store::SnapshotFileBuilder image;
-  image.AddSection(kCheckpointSectionMeta, meta);
-  image.AddSection(kCheckpointSectionBuilderState, "builder bytes");
+  store::SnapshotFileWriter image(2);
+  image.BeginSection(kCheckpointSectionMeta)->append(meta);
+  image.BeginSection(kCheckpointSectionBuilderState)->append("builder bytes");
   store::SnapshotStore store(store::SnapshotStoreOptions{directory_, 2});
   ASSERT_TRUE(store.Publish(image.Finish()).ok());
 

@@ -191,9 +191,9 @@ TEST_F(SnapshotCodecTest, DamagedNewestGenerationCountsOneOpen) {
     store::SnapshotStore store = Store();
     ASSERT_TRUE(sealed->WriteTo(&store).ok());
     if (payload_damage) {
-      store::SnapshotFileBuilder builder;
-      builder.AddSection(kSnapSectionMeta, "not a meta section");
-      ASSERT_TRUE(store.Publish(builder.Finish()).ok());
+      store::SnapshotFileWriter writer(1);
+      writer.BeginSection(kSnapSectionMeta)->append("not a meta section");
+      ASSERT_TRUE(store.Publish(writer.Finish()).ok());
     } else {
       ASSERT_TRUE(sealed->WriteTo(&store).ok());
       std::fstream file(store.GenerationPath(2),

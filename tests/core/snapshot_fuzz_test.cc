@@ -148,7 +148,7 @@ TEST_F(SnapshotFuzzTest, EveryBitFlipIsCleanDataLoss) {
 }
 
 // --- Container-valid, payload-hostile images. -------------------------
-// The container CRCs pass (the builder recomputes them), so only the
+// The container CRCs pass (the writer recomputes them), so only the
 // codec's cross-section validation stands between these and a crash.
 
 struct Payloads {
@@ -162,19 +162,21 @@ struct Payloads {
   bool omit_set2_keys = false;
 
   std::string Finish() const {
-    store::SnapshotFileBuilder builder;
-    builder.AddSection(kSnapSectionMeta, meta);
+    store::SnapshotFileWriter writer(1 + 3 * kNumGroupingSets + 3 -
+                                     (omit_set2_keys ? 1 : 0));
+    writer.BeginSection(kSnapSectionMeta)->append(meta);
     for (uint32_t s = 0; s < kNumGroupingSets; ++s) {
       if (!(s == 2 && omit_set2_keys)) {
-        builder.AddSection(kSnapSectionKeysBase + s, keys[s]);
+        writer.BeginSection(kSnapSectionKeysBase + s)->append(keys[s]);
       }
-      builder.AddSection(kSnapSectionSummaryOffsetsBase + s, offsets[s]);
-      builder.AddSection(kSnapSectionSummaryBlobBase + s, blobs[s]);
+      writer.BeginSection(kSnapSectionSummaryOffsetsBase + s)
+          ->append(offsets[s]);
+      writer.BeginSection(kSnapSectionSummaryBlobBase + s)->append(blobs[s]);
     }
-    builder.AddSection(kSnapSectionRouteSpans, spans);
-    builder.AddSection(kSnapSectionRouteCells, route_cells);
-    builder.AddSection(kSnapSectionSegmentIndex, segments);
-    return builder.Finish();
+    writer.BeginSection(kSnapSectionRouteSpans)->append(spans);
+    writer.BeginSection(kSnapSectionRouteCells)->append(route_cells);
+    writer.BeginSection(kSnapSectionSegmentIndex)->append(segments);
+    return writer.Finish();
   }
 };
 

@@ -16,12 +16,12 @@ namespace pol::store {
 namespace {
 
 std::string SampleImage() {
-  SnapshotFileBuilder builder;
-  builder.AddSection(0x01, "meta bytes");
-  builder.AddSection(0x10, std::string(100, 'k'));
-  builder.AddSection(0x30, "");  // Empty sections are legal.
-  builder.AddSection(0x42, std::string("\x00\x01\x02\x03", 4));
-  return builder.Finish();
+  SnapshotFileWriter writer(4);
+  writer.BeginSection(0x01)->append("meta bytes");
+  writer.BeginSection(0x10)->append(100, 'k');
+  writer.BeginSection(0x30);  // Empty sections are legal.
+  writer.BeginSection(0x42)->append("\x00\x01\x02\x03", 4);
+  return writer.Finish();
 }
 
 TEST(SnapshotFormatTest, RoundTrip) {
@@ -66,8 +66,7 @@ TEST(SnapshotFormatTest, SectionsAreAligned) {
 }
 
 TEST(SnapshotFormatTest, EmptyFileIsValid) {
-  SnapshotFileBuilder builder;
-  const std::string image = builder.Finish();
+  const std::string image = SnapshotFileWriter(0).Finish();
   const Result<SnapshotFileView> view = SnapshotFileView::Validate(image);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_TRUE(view->Sections().empty());

@@ -60,10 +60,10 @@ class SnapshotStoreTest : public ::testing::Test {
 
 // Distinct valid POLSNAP1 images, distinguishable by their meta bytes.
 std::string MakeImage(const std::string& marker) {
-  SnapshotFileBuilder builder;
-  builder.AddSection(0x01, marker);
-  builder.AddSection(0x10, std::string(64, 'k'));
-  return builder.Finish();
+  SnapshotFileWriter writer(2);
+  writer.BeginSection(0x01)->append(marker);
+  writer.BeginSection(0x10)->append(64, 'k');
+  return writer.Finish();
 }
 
 std::string SectionString(const SnapshotStore::Opened& opened, uint32_t id) {
