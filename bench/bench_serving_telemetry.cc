@@ -37,7 +37,6 @@
 #include "core/serving_guard.h"
 #include "core/serving_inventory.h"
 #include "hexgrid/hexgrid.h"
-#include "obs/metrics.h"
 #include "obs/querylog.h"
 
 namespace pol {
@@ -116,7 +115,7 @@ int Run(int argc, char** argv) {
   exporter.openmetrics_path = out_dir + "/metrics.txt";
   exporter.period_seconds = 0.25;
   const Status exporter_status = telemetered.StartTelemetryExporter(exporter);
-  if (!exporter_status.ok() && obs::kEnabled) {
+  if (!exporter_status.ok()) {
     std::fprintf(stderr, "FAIL: cannot start exporter: %s\n",
                  exporter_status.message().c_str());
     return 1;
@@ -125,9 +124,7 @@ int Run(int argc, char** argv) {
   std::printf("snapshot: %s summaries, %d calls x %d lookups per round\n",
               bench::FormatCount(store.size()).c_str(), kCallsPerRound,
               kLookupsPerCall);
-  std::printf("telemetry compiled %s, exporter period %.2fs\n\n",
-              obs::kEnabled ? "ON" : "OFF (no-op layer)",
-              exporter.period_seconds);
+  std::printf("exporter period %.2fs\n\n", exporter.period_seconds);
 
   // Probe every corridor cell plus misses (cells far off the corridor),
   // cycled, so every shape hits the same mix.
@@ -162,7 +159,7 @@ int Run(int argc, char** argv) {
   // log totals must reconcile exactly (admitted == ok + errors).
   const obs::QueryLog::Totals totals =
       telemetered.telemetry()->query_log().totals();
-  if (obs::kEnabled && totals.events != totals.ok + totals.errors) {
+  if (totals.events != totals.ok + totals.errors) {
     std::fprintf(stderr, "FAIL: query log totals do not reconcile\n");
     return 1;
   }
@@ -200,7 +197,6 @@ int Run(int argc, char** argv) {
   summary.Set("calls_per_round", kCallsPerRound);
   summary.Set("slices_per_round", kSlicesPerRound);
   summary.Set("lookups_per_call", kLookupsPerCall);
-  summary.Set("obs_enabled", obs::kEnabled);
   summary.Set("raw_s", raw_s);
   summary.Set("guarded_s", guarded_s);
   // The guarded shape under its former serving-telemetry summary name.

@@ -263,21 +263,19 @@ Result<Decoded> NmeaDecoder::Feed(std::string_view sentence) {
   if (!result.ok() && quarantine_ != nullptr) {
     quarantine_->Record("ingest.nmea", result.status(), sentence, sequence);
   }
-  if constexpr (obs::kEnabled) {
-    // Feed is the per-sentence hot path: resolve the handles once per
-    // process, then recording is relaxed atomics only.
-    static obs::Counter* const sentences =
-        obs::Registry::Global().counter("ingest.nmea.sentences");
-    static obs::Counter* const errors =
-        obs::Registry::Global().counter("ingest.nmea.errors");
-    static obs::Counter* const messages =
-        obs::Registry::Global().counter("ingest.nmea.messages");
-    sentences->Increment();
-    if (!result.ok()) {
-      errors->Increment();
-    } else if (result->message_type != 0) {
-      messages->Increment();
-    }
+  // Feed is the per-sentence hot path: resolve the handles once per
+  // process, then recording is relaxed atomics only.
+  static obs::Counter* const sentences =
+      obs::Registry::Global().counter("ingest.nmea.sentences");
+  static obs::Counter* const errors =
+      obs::Registry::Global().counter("ingest.nmea.errors");
+  static obs::Counter* const messages =
+      obs::Registry::Global().counter("ingest.nmea.messages");
+  sentences->Increment();
+  if (!result.ok()) {
+    errors->Increment();
+  } else if (result->message_type != 0) {
+    messages->Increment();
   }
   return result;
 }
@@ -481,11 +479,9 @@ Result<Decoded> NmeaDecoder::DecodePayload(const std::vector<uint8_t>& symbols,
     return decoded;
   }
   ++unsupported_;
-  if constexpr (obs::kEnabled) {
-    static obs::Counter* const unsupported =
-        obs::Registry::Global().counter("ingest.nmea.unsupported");
-    unsupported->Increment();
-  }
+  static obs::Counter* const unsupported =
+      obs::Registry::Global().counter("ingest.nmea.unsupported");
+  unsupported->Increment();
   return decoded;  // Unsupported type: reported, not an error.
 }
 

@@ -14,13 +14,11 @@ constexpr size_t kMaxPayloadBytes = 256;
 
 void QuarantineStore::Record(std::string_view source, const Status& status,
                              std::string_view payload, uint64_t sequence) {
-  if constexpr (obs::kEnabled) {
-    // Dead letters are rare, so the per-source name lookup is fine here.
-    auto& registry = obs::Registry::Global();
-    registry.counter("quarantine.dead_letters")->Increment();
-    registry.counter("quarantine." + std::string(source) + ".dead_letters")
-        ->Increment();
-  }
+  // Dead letters are rare, so the per-source name lookup is fine here.
+  auto& registry = obs::Registry::Global();
+  registry.counter("quarantine.dead_letters")->Increment();
+  registry.counter("quarantine." + std::string(source) + ".dead_letters")
+      ->Increment();
   MutexLock lock(mutex_);
   ++counters_[{std::string(source), status.code()}];
   if (letters_.size() >= max_retained_) return;

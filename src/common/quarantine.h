@@ -14,9 +14,11 @@
 #include "common/thread_annotations.h"
 
 // A dead-letter store: the landing zone for inputs a fault-tolerant
-// consumer refuses to process but must not silently drop. Producers
-// (AIS ingest, the stage runner's chunk quarantine) record the failing
-// payload together with the error that condemned it; the store keeps
+// consumer refuses to process but must not silently drop. A producer
+// (today ais::NmeaDecoder, for every sentence it rejects) records the
+// failing payload together with the error that condemned it. Failed
+// pipeline chunks do not land here: flow::StageRunner reports them as
+// ChunkFailure entries in its RunSummary. The store keeps
 // per-(source, reason) counters for coverage reporting plus a bounded
 // sample of raw payloads for postmortems. Thread-safe; counting never
 // saturates, only the retained samples are capped.
@@ -25,7 +27,7 @@ namespace pol {
 
 // One condemned input.
 struct DeadLetter {
-  std::string source;   // Producer site, e.g. "nmea" or "stage.cleaning".
+  std::string source;   // Producer site, e.g. "ingest.nmea".
   Status status;        // Why it was condemned.
   std::string payload;  // The offending raw input (possibly truncated).
   uint64_t sequence = 0;  // Producer-assigned position (0 when unknown).
@@ -49,7 +51,7 @@ class QuarantineStore {
   // Condemned inputs for one source.
   uint64_t CountForSource(std::string_view source) const;
 
-  // Per-(source, reason) counters: ("nmea", kCorruption) -> n.
+  // Per-(source, reason) counters: ("ingest.nmea", kCorruption) -> n.
   std::map<std::pair<std::string, StatusCode>, uint64_t> Counters() const;
 
   // The retained dead letters, oldest first (at most `max_retained`).

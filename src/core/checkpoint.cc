@@ -128,7 +128,7 @@ CheckpointManager::CheckpointManager(CheckpointConfig config)
 
 Status CheckpointManager::Write(CheckpointState state) {
   POL_TRACE_SPAN("checkpoint.write");
-  const double start = obs::kEnabled ? obs::NowSeconds() : 0.0;
+  const double start = obs::NowSeconds();
   uint64_t bytes_written = 0;
   Status status = [&]() -> Status {
     if (!enabled()) {
@@ -148,23 +148,21 @@ Status CheckpointManager::Write(CheckpointState state) {
     bytes_written = image.size();
     return Status::OK();
   }();
-  if constexpr (obs::kEnabled) {
-    auto& registry = obs::Registry::Global();
-    registry.histogram("checkpoint.write_seconds")
-        ->Record(obs::NowSeconds() - start);
-    if (status.ok()) {
-      registry.counter("checkpoint.writes")->Increment();
-      registry.counter("checkpoint.bytes_written")->Increment(bytes_written);
-    } else {
-      registry.counter("checkpoint.write_failures")->Increment();
-    }
+  auto& registry = obs::Registry::Global();
+  registry.histogram("checkpoint.write_seconds")
+      ->Record(obs::NowSeconds() - start);
+  if (status.ok()) {
+    registry.counter("checkpoint.writes")->Increment();
+    registry.counter("checkpoint.bytes_written")->Increment(bytes_written);
+  } else {
+    registry.counter("checkpoint.write_failures")->Increment();
   }
   return status;
 }
 
 Result<LoadedCheckpoint> CheckpointManager::LoadLatest() const {
   POL_TRACE_SPAN("checkpoint.load");
-  const double start = obs::kEnabled ? obs::NowSeconds() : 0.0;
+  const double start = obs::NowSeconds();
   Result<LoadedCheckpoint> result = [&]() -> Result<LoadedCheckpoint> {
     if (!enabled()) {
       return Status::FailedPrecondition("checkpointing is disabled");
@@ -181,11 +179,9 @@ Result<LoadedCheckpoint> CheckpointManager::LoadLatest() const {
     POL_RETURN_IF_ERROR(store_.OpenLatest(accept).status());
     return state;
   }();
-  if constexpr (obs::kEnabled) {
-    obs::Registry::Global()
-        .histogram("checkpoint.read_seconds")
-        ->Record(obs::NowSeconds() - start);
-  }
+  obs::Registry::Global()
+      .histogram("checkpoint.read_seconds")
+      ->Record(obs::NowSeconds() - start);
   return result;
 }
 

@@ -57,15 +57,6 @@ std::vector<ais::MarketSegment> Inventory::SegmentsAt(
   return segments;
 }
 
-void Inventory::VisitGroupingSet(GroupingSet set,
-                                 const SummaryVisitor& visitor) const {
-  for (const auto& [key, summary] : summaries_) {
-    if (key.grouping_set == static_cast<uint8_t>(set)) {
-      visitor(key, summary);
-    }
-  }
-}
-
 bool Inventory::VisitGroupingSetWhile(
     GroupingSet set, const CancellableVisitor& visitor) const {
   for (const auto& [key, summary] : summaries_) {

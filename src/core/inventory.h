@@ -71,8 +71,6 @@ class Inventory final : public InventoryQuery {
   std::vector<ais::MarketSegment> SegmentsAt(
       hex::CellIndex cell) const override;
 
-  void VisitGroupingSet(GroupingSet set,
-                        const SummaryVisitor& visitor) const override;
   bool VisitGroupingSetWhile(GroupingSet set,
                              const CancellableVisitor& visitor) const override;
 

@@ -9,6 +9,15 @@ namespace pol::core {
 
 InventoryQuery::~InventoryQuery() = default;
 
+void InventoryQuery::VisitGroupingSet(GroupingSet set,
+                                      const SummaryVisitor& visitor) const {
+  VisitGroupingSetWhile(
+      set, [&visitor](const GroupKey& key, const CellSummary& summary) {
+        visitor(key, summary);
+        return true;
+      });
+}
+
 InventoryQuery::RouteCorridor InventoryQuery::CorridorForRoute(
     sim::PortId origin, sim::PortId destination,
     ais::MarketSegment segment) const {

@@ -16,7 +16,7 @@
 // build-side `Inventory` and the immutable `InventorySnapshot` (sealed
 // from it or mapped from a stored generation — one class either way),
 // supply only the virtual primitives below: one key lookup, the cells
-// of one exact route key, the segments at a cell and the visits.
+// of one exact route key, the segments at a cell and one stoppable visit.
 //
 // The policy on top is defined once, here, and is not virtual: the
 // per-grouping-set lookups, the reversed-port-pair rule of
@@ -54,18 +54,12 @@ class InventoryQuery {
   virtual std::vector<ais::MarketSegment> SegmentsAt(
       hex::CellIndex cell) const = 0;
 
-  // Visits every summary of one grouping set. Visit order is
-  // unspecified for map-backed stores and ascending (cell, dims) for
-  // snapshots; aggregations must not depend on it.
-  using SummaryVisitor =
-      std::function<void(const GroupKey&, const CellSummary&)>;
-  virtual void VisitGroupingSet(GroupingSet set,
-                                const SummaryVisitor& visitor) const = 0;
-
-  // Like VisitGroupingSet, but the visitor returns false to stop the
-  // walk — the cooperative-cancellation hook the serving guard threads
+  // Visits the summaries of one grouping set until the visitor returns
+  // false — the cooperative-cancellation hook the serving guard threads
   // per-call deadlines through (see core/serving_guard.h). Returns true
   // when every summary was visited, false when a visitor stopped early.
+  // Visit order is unspecified for map-backed stores and ascending
+  // (cell, dims) for snapshots; aggregations must not depend on it.
   using CancellableVisitor =
       std::function<bool(const GroupKey&, const CellSummary&)>;
   virtual bool VisitGroupingSetWhile(
@@ -75,6 +69,12 @@ class InventoryQuery {
   virtual uint64_t DistinctCells() const = 0;
 
   // --- Policy: defined once, over the primitives. ---
+
+  // Visits every summary of one grouping set: VisitGroupingSetWhile
+  // with a visitor that never stops.
+  using SummaryVisitor =
+      std::function<void(const GroupKey&, const CellSummary&)>;
+  void VisitGroupingSet(GroupingSet set, const SummaryVisitor& visitor) const;
 
   // Point lookups per grouping set; nullptr when the group is absent.
   const CellSummary* Cell(hex::CellIndex cell) const {

@@ -344,8 +344,8 @@ std::vector<ais::MarketSegment> InventorySnapshot::SegmentsAt(
   return result;
 }
 
-template <typename Visitor>
-bool InventorySnapshot::Walk(GroupingSet set, const Visitor& visitor) const {
+bool InventorySnapshot::VisitGroupingSetWhile(
+    GroupingSet set, const CancellableVisitor& visitor) const {
   const SetView& entries = sets_[static_cast<size_t>(set)];
   for (size_t i = 0; i < entries.count; ++i) {
     const CellSummary* summary = Materialize(entries, i);
@@ -355,19 +355,6 @@ bool InventorySnapshot::Walk(GroupingSet set, const Visitor& visitor) const {
     if (!visitor(key, *summary)) return false;
   }
   return true;
-}
-
-void InventorySnapshot::VisitGroupingSet(GroupingSet set,
-                                         const SummaryVisitor& visitor) const {
-  Walk(set, [&visitor](const GroupKey& key, const CellSummary& summary) {
-    visitor(key, summary);
-    return true;
-  });
-}
-
-bool InventorySnapshot::VisitGroupingSetWhile(
-    GroupingSet set, const CancellableVisitor& visitor) const {
-  return Walk(set, visitor);
 }
 
 uint64_t InventorySnapshot::DistinctCells() const {

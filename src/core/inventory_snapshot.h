@@ -83,8 +83,6 @@ class InventorySnapshot final : public InventoryQuery {
   std::vector<ais::MarketSegment> SegmentsAt(
       hex::CellIndex cell) const override;
 
-  void VisitGroupingSet(GroupingSet set,
-                        const SummaryVisitor& visitor) const override;
   bool VisitGroupingSetWhile(GroupingSet set,
                              const CancellableVisitor& visitor) const override;
 
@@ -153,8 +151,6 @@ class InventorySnapshot final : public InventoryQuery {
 
   Status Bind(const store::SnapshotFileView& view);
   const CellSummary* Materialize(const SetView& set, size_t i) const;
-  template <typename Visitor>
-  bool Walk(GroupingSet set, const Visitor& visitor) const;
 
   store::MappedFile image_;
   int resolution_ = 0;

@@ -98,7 +98,7 @@ obs::Json CheckpointToJson(const PipelineConfig& config,
 // Serving-resilience summary, distilled from the guard's gauges so the
 // report answers "was this run serving degraded?" without digging
 // through the metrics block. All-defaults (healthy) when no
-// ServingGuard ran or under POL_OBS=OFF.
+// ServingGuard ran.
 obs::Json ServingToJson(const obs::MetricsSnapshot& metrics) {
   const auto gauge = [&metrics](std::string_view name) -> int64_t {
     for (const auto& [gauge_name, value] : metrics.gauges) {
@@ -118,7 +118,7 @@ obs::Json ServingToJson(const obs::MetricsSnapshot& metrics) {
 
 // Snapshot-store summary: the durable-publish and cold-open ledger of
 // the run. All zeros when no SnapshotStore was touched (no store
-// configured, or POL_OBS=OFF).
+// configured).
 obs::Json StoreToJson(const obs::MetricsSnapshot& metrics) {
   const auto counter = [&metrics](std::string_view name) -> uint64_t {
     for (const auto& [counter_name, value] : metrics.counters) {
@@ -149,7 +149,7 @@ obs::Json StoreToJson(const obs::MetricsSnapshot& metrics) {
 // The serving.slo.* gauge set folded back into per-SLO objects:
 // {"availability": {"burning": false, "burn_fast_milli": 0, ...}, ...}.
 // Empty object when no ServingTelemetry published SLOs (no guard ran,
-// telemetry disabled, or POL_OBS=OFF).
+// or telemetry disabled).
 obs::Json ServingSloToJson(const obs::MetricsSnapshot& metrics) {
   struct SloAggregate {
     bool burning = false;

@@ -9,8 +9,8 @@
 #include "obs/json.h"
 
 // The machine-readable run report: one JSON document per RunPipeline
-// call, assembled from PipelineResult (so it exists under POL_OBS=OFF
-// too) plus a snapshot of the metrics registry. Schema
+// call, assembled from PipelineResult plus a snapshot of the metrics
+// registry. Schema
 // "pol.run_report/1" (see DESIGN.md §3.4):
 //
 //   {

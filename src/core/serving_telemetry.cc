@@ -55,7 +55,7 @@ std::string_view QueryClassName(QueryClass cls) {
 
 ServingTelemetry::ServingTelemetry(ServingTelemetryOptions options)
     : options_(Sanitize(std::move(options))),
-      enabled_(options_.enabled && obs::kEnabled),
+      enabled_(options_.enabled),
       interactive_latency_(options_.window_seconds, options_.window_count),
       batch_latency_(options_.window_seconds, options_.window_count),
       ok_rate_(options_.window_seconds, options_.window_count),

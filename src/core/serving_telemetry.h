@@ -52,7 +52,7 @@ inline constexpr size_t kNumQueryClasses = 2;
 std::string_view QueryClassName(QueryClass cls);
 
 struct ServingTelemetryOptions {
-  // Master switch; obs::kEnabled (POL_OBS) still gates everything.
+  // Master switch: false makes every Record* a no-op.
   bool enabled = true;
   // Window geometry shared by the latency histograms and the rates.
   double window_seconds = 1.0;
@@ -83,8 +83,8 @@ class ServingTelemetry {
   ServingTelemetry(const ServingTelemetry&) = delete;
   ServingTelemetry& operator=(const ServingTelemetry&) = delete;
 
-  // options.enabled && obs::kEnabled. When false every Record* below is
-  // a no-op and BeginQuery returns 0.
+  // options.enabled. When false every Record* below is a no-op and
+  // BeginQuery returns 0.
   bool enabled() const { return enabled_; }
 
   // Issues the query id an admitted query logs and traces under.

@@ -125,18 +125,11 @@ inline Status AnnotateWithStage(std::string_view stage_name, Status status) {
 // so the registry lookup cost is amortized over whole-stage work.
 inline void RecordStageRegistryMetrics(std::string_view stage_name,
                                        double seconds) {
-  if constexpr (obs::kEnabled) {
-    const std::string prefix = "stage." + std::string(stage_name);
-    obs::Registry::Global()
-        .counter(prefix + ".wall_micros")
-        ->Increment(static_cast<uint64_t>(seconds * 1e6));
-    obs::Registry::Global()
-        .histogram(prefix + ".chunk_seconds")
-        ->Record(seconds);
-  } else {
-    (void)stage_name;
-    (void)seconds;
-  }
+  const std::string prefix = "stage." + std::string(stage_name);
+  obs::Registry::Global()
+      .counter(prefix + ".wall_micros")
+      ->Increment(static_cast<uint64_t>(seconds * 1e6));
+  obs::Registry::Global().histogram(prefix + ".chunk_seconds")->Record(seconds);
 }
 
 }  // namespace internal

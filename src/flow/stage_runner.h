@@ -221,14 +221,12 @@ class StageRunner {
     }
     drain();
     summary.retries = retries.load();
-    if constexpr (obs::kEnabled) {
-      auto& registry = obs::Registry::Global();
-      registry.counter("pipeline.chunks_folded")
-          ->Increment(summary.chunks_folded);
-      registry.counter("pipeline.chunks_quarantined")
-          ->Increment(summary.chunks_quarantined);
-      registry.counter("pipeline.chunk_retries")->Increment(summary.retries);
-    }
+    auto& registry = obs::Registry::Global();
+    registry.counter("pipeline.chunks_folded")
+        ->Increment(summary.chunks_folded);
+    registry.counter("pipeline.chunks_quarantined")
+        ->Increment(summary.chunks_quarantined);
+    registry.counter("pipeline.chunk_retries")->Increment(summary.retries);
     return summary;
   }
 

@@ -40,7 +40,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   PendingTask pending;
   pending.fn = std::move(task);
-  if constexpr (obs::kEnabled) pending.enqueue_micros = obs::NowMicros();
+  pending.enqueue_micros = obs::NowMicros();
   {
     MutexLock lock(mutex_);
     queue_.push_back(std::move(pending));
@@ -128,17 +128,13 @@ void ThreadPool::WorkerLoop() {
       ++active_;
       queue_depth_metric_->Set(static_cast<int64_t>(queue_.size()));
     }
-    if constexpr (obs::kEnabled) {
-      const uint64_t start_micros = obs::NowMicros();
-      queue_wait_seconds_metric_->Record(
-          static_cast<double>(start_micros - task.enqueue_micros) * 1e-6);
-      task.fn();
-      task_seconds_metric_->Record(
-          static_cast<double>(obs::NowMicros() - start_micros) * 1e-6);
-      tasks_metric_->Increment();
-    } else {
-      task.fn();
-    }
+    const uint64_t start_micros = obs::NowMicros();
+    queue_wait_seconds_metric_->Record(
+        static_cast<double>(start_micros - task.enqueue_micros) * 1e-6);
+    task.fn();
+    task_seconds_metric_->Record(
+        static_cast<double>(obs::NowMicros() - start_micros) * 1e-6);
+    tasks_metric_->Increment();
     {
       MutexLock lock(mutex_);
       --active_;

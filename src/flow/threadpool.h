@@ -21,7 +21,7 @@
 // ("flow.pool.queue_depth" gauge, "flow.pool.tasks" counter,
 // "flow.pool.task_seconds" / "flow.pool.queue_wait_seconds" histograms)
 // are resolved once in the constructor; per-task recording is relaxed
-// atomics only, and the clock reads vanish under POL_OBS=OFF.
+// atomics plus two clock reads.
 
 namespace pol::flow {
 

@@ -9,9 +9,9 @@
 // every duration in metrics, spans and run reports shares one epoch —
 // process start — and trace timestamps line up across threads.
 //
-// These stay live under POL_OBS=OFF: StageMetrics wall-time accounting
-// is a pipeline-result feature, not an obs-only one. Only metric
-// recording and span capture compile to no-ops when disabled.
+// StageMetrics wall-time accounting reads the same clock, so the
+// per-stage seconds in a PipelineResult and the stage spans of a trace
+// of the same run agree.
 
 namespace pol::obs {
 

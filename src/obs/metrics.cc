@@ -10,15 +10,6 @@
 namespace pol::obs {
 namespace {
 
-// One shared handle per kind for POL_OBS=OFF builds: sites keep a valid
-// pointer, every operation on it is an inline no-op, and the registry
-// maps stay empty.
-template <typename Metric>
-Metric* Dummy() {
-  static Metric* const kDummy = new Metric();  // NOLINT(pollint:naked-new): leaked shared no-op handle.
-  return kDummy;
-}
-
 // Registry lookup body; the caller holds the registry mutex (the three
 // public accessors lock, so the guarded map access is inside the
 // analyzed scope instead of laundered through a reference parameter).
@@ -42,28 +33,16 @@ Registry& Registry::Global() {
 }
 
 Counter* Registry::counter(std::string_view name) {
-  if constexpr (!kEnabled) {
-    (void)name;
-    return Dummy<Counter>();
-  }
   MutexLock lock(mutex_);
   return FindOrCreateLocked(counters_, name);
 }
 
 Gauge* Registry::gauge(std::string_view name) {
-  if constexpr (!kEnabled) {
-    (void)name;
-    return Dummy<Gauge>();
-  }
   MutexLock lock(mutex_);
   return FindOrCreateLocked(gauges_, name);
 }
 
 Histogram* Registry::histogram(std::string_view name) {
-  if constexpr (!kEnabled) {
-    (void)name;
-    return Dummy<Histogram>();
-  }
   MutexLock lock(mutex_);
   return FindOrCreateLocked(histograms_, name);
 }

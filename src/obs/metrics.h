@@ -28,29 +28,14 @@
 // it is a relaxed atomic — the fast path holds no lock and allocates
 // nothing, so instrumentation is safe from any thread including pool
 // workers in the hottest stage loops.
-//
-// With the POL_OBS=OFF CMake option (POL_OBS_DISABLED defined) the
-// whole layer compiles down to no-ops: recording is an empty inline
-// function, lookups return a shared dummy handle without touching the
-// registry, and snapshots are empty. Call sites need no #ifdefs.
 
 namespace pol::obs {
-
-#if defined(POL_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 // A monotonically increasing event count.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    if constexpr (kEnabled) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -62,19 +47,9 @@ class Counter {
 // A point-in-time level (queue depth, in-flight chunks).
 class Gauge {
  public:
-  void Set(int64_t value) {
-    if constexpr (kEnabled) {
-      value_.store(value, std::memory_order_relaxed);
-    } else {
-      (void)value;
-    }
-  }
+  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
   void Add(int64_t delta) {
-    if constexpr (kEnabled) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -101,21 +76,17 @@ class Histogram {
   static constexpr size_t kBucketCount = 32;
 
   void Record(double seconds) {
-    if constexpr (kEnabled) {
-      if (!(seconds >= 0.0)) seconds = 0.0;  // NaN/negative clamp.
-      const auto nanos = static_cast<uint64_t>(seconds * 1e9);
-      const uint64_t micros = nanos / 1000;
-      buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
-      if ((micros >> (kBucketCount - 1)) != 0) {  // >= 2^31 us.
-        overflow_count_.fetch_add(1, std::memory_order_relaxed);
-      }
-      count_.fetch_add(1, std::memory_order_relaxed);
-      sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-      UpdateMin(nanos);
-      UpdateMax(nanos);
-    } else {
-      (void)seconds;
+    if (!(seconds >= 0.0)) seconds = 0.0;  // NaN/negative clamp.
+    const auto nanos = static_cast<uint64_t>(seconds * 1e9);
+    const uint64_t micros = nanos / 1000;
+    buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
+    if ((micros >> (kBucketCount - 1)) != 0) {  // >= 2^31 us.
+      overflow_count_.fetch_add(1, std::memory_order_relaxed);
     }
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
+    UpdateMin(nanos);
+    UpdateMax(nanos);
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }

@@ -40,15 +40,12 @@ QueryLog::QueryLog(QueryLogOptions options)
         if (options.sampled_capacity == 0) options.sampled_capacity = 1;
         return options;
       }()) {
-  if constexpr (kEnabled) {
-    MutexLock lock(mutex_);
-    notable_.reserve(options_.notable_capacity);
-    sampled_.reserve(options_.sampled_capacity);
-  }
+  MutexLock lock(mutex_);
+  notable_.reserve(options_.notable_capacity);
+  sampled_.reserve(options_.sampled_capacity);
 }
 
 uint64_t QueryLog::NextId() {
-  if constexpr (!kEnabled) return 0;
   return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
@@ -60,10 +57,6 @@ uint64_t QueryLog::Mix(uint64_t value) {
 }
 
 void QueryLog::Record(const QueryEvent& event) {
-  if constexpr (!kEnabled) {
-    (void)event;
-    return;
-  }
   if (event.ok) {
     ok_.fetch_add(1, std::memory_order_relaxed);
   } else {

@@ -11,7 +11,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 // The slow-query log of the serving path (DESIGN.md §3.8): one wide
 // event per admitted query — id, class, operation, status, queue wait,
@@ -30,8 +29,7 @@
 // strings (string literals, StatusCodeName results): events are POD-ish
 // copies and recording must not allocate. Totals are always-on relaxed
 // atomics so counter reconciliation (admitted == logged OK + logged
-// errors) holds exactly even when rings wrap. Under POL_OBS=OFF
-// recording is a no-op and NextId() returns 0.
+// errors) holds exactly even when rings wrap.
 
 namespace pol::obs {
 

@@ -36,12 +36,6 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
 
 void TraceRecorder::Record(std::string name, uint64_t ts_micros,
                            uint64_t dur_micros) {
-  if constexpr (!kEnabled) {
-    (void)name;
-    (void)ts_micros;
-    (void)dur_micros;
-    return;
-  }
   ThreadBuffer* buffer = BufferForThisThread();
   TraceEvent event;
   event.name = std::move(name);

@@ -13,7 +13,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/clock.h"
-#include "obs/metrics.h"  // kEnabled
 
 // Scoped trace spans with Chrome trace-event export. Instrumented
 // scopes declare
@@ -29,7 +28,7 @@
 // load; recording appends to a thread-owned buffer under a per-buffer
 // mutex that only the exporter ever contends. Span names are copied at
 // record time (spans are coarse — stages, chunks, checkpoints — not
-// per-record). Under POL_OBS=OFF the macro compiles away entirely.
+// per-record).
 
 namespace pol::obs {
 
@@ -52,7 +51,7 @@ class TraceRecorder {
 
   // Collection gate. Spans that begin while stopped record nothing,
   // even if the recorder starts before they end.
-  void Start() { enabled_.store(kEnabled, std::memory_order_relaxed); }
+  void Start() { enabled_.store(true, std::memory_order_relaxed); }
   void Stop() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
@@ -94,25 +93,19 @@ class TraceRecorder {
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::string_view name) {
-    if constexpr (kEnabled) {
-      if (TraceRecorder::Global().enabled()) {
-        name_.assign(name.data(), name.size());
-        start_micros_ = NowMicros();
-        active_ = true;
-      }
-    } else {
-      (void)name;
+    if (TraceRecorder::Global().enabled()) {
+      name_.assign(name.data(), name.size());
+      start_micros_ = NowMicros();
+      active_ = true;
     }
   }
 
   ~ScopedSpan() {
-    if constexpr (kEnabled) {
-      if (active_) {
-        const uint64_t end = NowMicros();
-        TraceRecorder::Global().Record(
-            std::move(name_), start_micros_,
-            end > start_micros_ ? end - start_micros_ : 0);
-      }
+    if (active_) {
+      const uint64_t end = NowMicros();
+      TraceRecorder::Global().Record(
+          std::move(name_), start_micros_,
+          end > start_micros_ ? end - start_micros_ : 0);
     }
   }
 

@@ -47,11 +47,6 @@ WindowedHistogram::Slot* WindowedHistogram::AdvanceTo(uint64_t epoch) {
 }
 
 void WindowedHistogram::RecordAt(double now_seconds, double value_seconds) {
-  if constexpr (!kEnabled) {
-    (void)now_seconds;
-    (void)value_seconds;
-    return;
-  }
   Slot* slot = AdvanceTo(EpochOf(now_seconds));
   if (slot != nullptr) slot->hist.Record(value_seconds);
 }
@@ -61,7 +56,6 @@ WindowedSnapshot WindowedHistogram::TrailingSnapshotAt(double now_seconds,
   WindowedSnapshot out;
   if (windows == 0 || windows > slots_.size()) windows = slots_.size();
   out.span_seconds = static_cast<double>(windows) * window_seconds_;
-  if constexpr (!kEnabled) return out;
   const uint64_t current = EpochOf(now_seconds);
   const uint64_t span = static_cast<uint64_t>(windows);
   const uint64_t oldest = current >= span - 1 ? current - (span - 1) : 0;
@@ -152,11 +146,6 @@ WindowedRate::WindowedRate(double window_seconds, size_t window_count)
       slots_(ClampWindowCount(window_count)) {}
 
 void WindowedRate::IncrementAt(double now_seconds, uint64_t delta) {
-  if constexpr (!kEnabled) {
-    (void)now_seconds;
-    (void)delta;
-    return;
-  }
   const uint64_t epoch = EpochOf(now_seconds);
   Slot& slot = slots_[static_cast<size_t>(epoch % slots_.size())];
   uint64_t seen = slot.epoch.load(std::memory_order_acquire);
@@ -172,11 +161,6 @@ void WindowedRate::IncrementAt(double now_seconds, uint64_t delta) {
 }
 
 uint64_t WindowedRate::TotalAt(double now_seconds, size_t windows) const {
-  if constexpr (!kEnabled) {
-    (void)now_seconds;
-    (void)windows;
-    return 0;
-  }
   if (windows == 0 || windows > slots_.size()) windows = slots_.size();
   const uint64_t current = EpochOf(now_seconds);
   const uint64_t span = static_cast<uint64_t>(windows);

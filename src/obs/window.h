@@ -30,9 +30,6 @@
 // an atomic). Merged reads are relaxed like MetricsSnapshot: not a
 // cross-slot atomic cut, which the consumers (gauges, SLO burn rates)
 // tolerate.
-//
-// Under POL_OBS=OFF recording compiles to a no-op and every read
-// returns an empty aggregate, mirroring obs/metrics.h.
 
 namespace pol::obs {
 
@@ -62,11 +59,7 @@ class WindowedHistogram {
   // The self-clocked form reads the fast (TSC) clock: recording is the
   // hot path; trailing reads stay on NowSeconds.
   void Record(double value_seconds) {
-    if constexpr (kEnabled) {
-      RecordAt(NowSecondsFast(), value_seconds);
-    } else {
-      (void)value_seconds;
-    }
+    RecordAt(NowSecondsFast(), value_seconds);
   }
   // Deterministic-time variant (tests drive the clock explicitly).
   void RecordAt(double now_seconds, double value_seconds);
@@ -129,13 +122,7 @@ class WindowedRate {
   WindowedRate(const WindowedRate&) = delete;
   WindowedRate& operator=(const WindowedRate&) = delete;
 
-  void Increment(uint64_t delta = 1) {
-    if constexpr (kEnabled) {
-      IncrementAt(NowSecondsFast(), delta);
-    } else {
-      (void)delta;
-    }
-  }
+  void Increment(uint64_t delta = 1) { IncrementAt(NowSecondsFast(), delta); }
   void IncrementAt(double now_seconds, uint64_t delta = 1);
 
   // Total events in the trailing `windows` windows (0 = whole ring).

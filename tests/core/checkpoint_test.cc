@@ -392,9 +392,7 @@ TEST_F(CheckpointTest, InconsistentMetaIsDataLossAndFallsBack) {
     const Result<LoadedCheckpoint> loaded = manager.LoadLatest();
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ExpectStatesEqual(*loaded, good);
-    if (obs::kEnabled) {
-      EXPECT_EQ(Fallbacks(), fallbacks_before + 1);
-    }
+    EXPECT_EQ(Fallbacks(), fallbacks_before + 1);
 
     // Alone in a directory, it is data loss rather than a resume, and
     // the store's failure list names the rule.
@@ -448,9 +446,7 @@ class CheckpointFuzzTest : public CheckpointTest {
     ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
     ASSERT_EQ(loaded->cursor, older_.cursor) << what;
     ASSERT_EQ(loaded->builder_state, older_.builder_state) << what;
-    if (obs::kEnabled) {
-      ASSERT_EQ(Fallbacks(), fallbacks_before + 1) << what;
-    }
+    ASSERT_EQ(Fallbacks(), fallbacks_before + 1) << what;
   }
 
   CheckpointState older_;

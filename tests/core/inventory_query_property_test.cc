@@ -7,8 +7,9 @@
 // visitation equal to the build side in (cell, dims) order. Route
 // queries on both sides are also checked against the cells the
 // generator recorded inserting under each route key, so the build
-// side's answers are not only compared with themselves. Unit cases pin
-// each rung of the ladder.
+// side's answers are not only compared with themselves. On both sides
+// a walk stopped after k summaries visits exactly k, in the full
+// walk's order. Unit cases pin each rung of the ladder.
 
 #include <gtest/gtest.h>
 
@@ -240,9 +241,44 @@ void ExpectPolicyMatchesBuildSide(const Sample& sample,
   }
 }
 
+// The one visit primitive on one store: for every grouping set, a walk
+// whose visitor never stops equals VisitGroupingSet and returns true,
+// and a visitor that stops at its k-th summary (k = 1, 2, half, all)
+// ends the walk there — false, exactly k visits, the full walk's first
+// k entries.
+void ExpectStoppableWalk(const InventoryQuery& q) {
+  for (int s = 0; s < kNumGroupingSets; ++s) {
+    const auto set = static_cast<GroupingSet>(s);
+    const auto full = Walk(q, set);
+    std::vector<std::pair<GroupKey, std::string>> walked;
+    EXPECT_TRUE(q.VisitGroupingSetWhile(
+        set, [&walked](const GroupKey& key, const CellSummary& summary) {
+          walked.emplace_back(key, Bytes(&summary));
+          return true;
+        }))
+        << "set " << s;
+    EXPECT_EQ(walked, full) << "set " << s;
+    ASSERT_GE(full.size(), 3u) << "set " << s;
+    for (const size_t k : {size_t{1}, size_t{2}, full.size() / 2,
+                           full.size()}) {
+      walked.clear();
+      const bool completed = q.VisitGroupingSetWhile(
+          set, [&walked, k](const GroupKey& key, const CellSummary& summary) {
+            walked.emplace_back(key, Bytes(&summary));
+            return walked.size() < k;
+          });
+      EXPECT_FALSE(completed) << "set " << s << " k " << k;
+      ASSERT_EQ(walked.size(), k) << "set " << s;
+      EXPECT_TRUE(std::equal(walked.begin(), walked.end(), full.begin()))
+          << "set " << s << " k " << k;
+    }
+  }
+}
+
 // Scan vs snapshot, for a freshly sealed snapshot (heap image) and the
 // same generation reopened from a store (mapped image): both answer
-// every query like the build side, and both hold the same bytes.
+// every query like the build side, and both hold the same bytes. The
+// build side and the sealed snapshot also stop their walks on cue.
 TEST(InventoryQueryPropertyTest, ScanAndSnapshotAgree) {
   const std::string root =
       (std::filesystem::path(::testing::TempDir()) / "pol_scan_vs_snapshot")
@@ -255,6 +291,8 @@ TEST(InventoryQueryPropertyTest, ScanAndSnapshotAgree) {
         sample.inventory.Seal();
     ExpectSnapshotMatchesBuildSide(sample, *sealed);
     ExpectPolicyMatchesBuildSide(sample, *sealed);
+    ExpectStoppableWalk(sample.inventory);
+    ExpectStoppableWalk(*sealed);
 
     store::SnapshotStoreOptions options;
     options.directory =

@@ -393,7 +393,6 @@ uint64_t Counter(std::string_view name) {
 }
 
 TEST(MergeSealTest, RefreshCountersCountCopiedMergedAndAddedKeys) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with POL_OBS=OFF";
   // An image of 10 cells x 3 grouping sets; the delta shares 4 of its
   // cells (12 keys) and brings 2 new cells (6 keys).
   Rng rng(2);

@@ -1,9 +1,7 @@
 // Integration test of the run report and trace export: a small
 // simulated archive through RunPipeline with both output paths set,
 // then the artifacts parsed back and checked against the in-memory
-// PipelineResult. The structural assertions (schema, coverage, stages)
-// hold under POL_OBS=OFF too — only the metrics section depends on the
-// layer recording anything.
+// PipelineResult.
 
 #include "core/run_report.h"
 
@@ -115,10 +113,8 @@ TEST_F(RunReportTest, ReportMatchesPipelineResult) {
   const obs::Json* metrics = report.Find("metrics");
   ASSERT_NE(metrics, nullptr);
   ASSERT_NE(metrics->Find("counters"), nullptr);
-  if (obs::kEnabled) {
-    EXPECT_GE(metrics->Find("counters")->GetUint64("pipeline.chunks_folded"),
-              static_cast<uint64_t>(result.coverage.chunks_folded));
-  }
+  EXPECT_GE(metrics->Find("counters")->GetUint64("pipeline.chunks_folded"),
+            static_cast<uint64_t>(result.coverage.chunks_folded));
 }
 
 TEST_F(RunReportTest, TraceExportIsLoadable) {
@@ -134,10 +130,6 @@ TEST_F(RunReportTest, TraceExportIsLoadable) {
   const obs::Json trace = MustParseFile(config.obs.trace_path);
   const obs::Json* events = trace.Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  if (!obs::kEnabled) {
-    EXPECT_EQ(events->size(), 0u);  // Valid but empty under POL_OBS=OFF.
-    return;
-  }
   ASSERT_GT(events->size(), 0u);
   bool saw_run = false;
   bool saw_stage = false;
@@ -194,10 +186,8 @@ TEST_F(RunReportTest, CheckpointsAreStorePublishes) {
   const obs::Json report = MustParseFile(config.obs.report_path);
   EXPECT_EQ(report.Find("checkpoint")->GetUint64("written"),
             result.coverage.checkpoints_written);
-  if (obs::kEnabled) {
-    EXPECT_EQ(report.Find("store")->GetUint64("publishes"),
-              result.coverage.checkpoints_written);
-  }
+  EXPECT_EQ(report.Find("store")->GetUint64("publishes"),
+            result.coverage.checkpoints_written);
 }
 
 TEST_F(RunReportTest, ResumePastDamagedCheckpointCountsOneFallback) {
@@ -228,9 +218,7 @@ TEST_F(RunReportTest, ResumePastDamagedCheckpointCountsOneFallback) {
   const obs::Json report = MustParseFile(config.obs.report_path);
   EXPECT_TRUE(report.Find("checkpoint")->Find("resumed")->AsBool());
   EXPECT_EQ(report.Find("checkpoint")->GetUint64("resume_cursor"), 2u);
-  if (obs::kEnabled) {
-    EXPECT_EQ(report.Find("store")->GetUint64("fallbacks"), 1u);
-  }
+  EXPECT_EQ(report.Find("store")->GetUint64("fallbacks"), 1u);
 }
 
 TEST_F(RunReportTest, WriteRunReportFailsOnUnwritablePath) {

@@ -20,7 +20,6 @@
 #include "core/inventory.h"
 #include "core/run_report.h"
 #include "hexgrid/hexgrid.h"
-#include "obs/metrics.h"
 
 namespace pol::core {
 namespace {
@@ -172,7 +171,6 @@ TEST(ServingInventoryTest, ReadersNeverSeeTornSnapshotsAcrossSwaps) {
 }
 
 TEST(ServingInventoryTest, MetricsSurfaceInRunReport) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with POL_OBS=OFF";
   ServingInventory serving(Batch(0, 2));
   ASSERT_TRUE(serving.Refresh(Batch(1, 2)).ok());
   (void)serving.Acquire();

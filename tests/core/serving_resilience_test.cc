@@ -109,10 +109,8 @@ TEST(ServingGuardTest, LongScanCanceledMidFlight) {
       });
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(visited, 1u);
-  if (obs::kEnabled) {
-    EXPECT_EQ(CounterValue("serving.scan_deadline_exceeded"),
-              scans_before + 1);
-  }
+  EXPECT_EQ(CounterValue("serving.scan_deadline_exceeded"),
+            scans_before + 1);
 }
 
 TEST(ServingGuardTest, InfiniteDeadlineAnswersLikeTheRawStore) {
@@ -213,9 +211,7 @@ TEST(ServingGuardTest, QueuedCallerAdmittedWhenSlotFrees) {
   release.store(true, std::memory_order_release);
   holder.join();
   waiter.join();
-  if (obs::kEnabled) {
-    EXPECT_GE(CounterValue("serving.queued"), queued_before);
-  }
+  EXPECT_GE(CounterValue("serving.queued"), queued_before);
 }
 
 TEST(ServingGuardTest, QueuedCallerHonorsItsOwnDeadline) {
@@ -543,40 +539,38 @@ TEST(ServingResilienceSoakTest, ChaosSoak) {
   // (b) Every issued call accounted for exactly once.
   EXPECT_EQ(ok_calls.load() + shed_calls.load() + deadline_calls.load(),
             issued.load());
-  if (obs::kEnabled) {
-    const uint64_t admitted = CounterValue("serving.admitted") -
-                              admitted_before;
-    const uint64_t shed = CounterValue("serving.shed") - shed_before;
-    const uint64_t deadline =
-        CounterValue("serving.deadline_exceeded") - deadline_before;
-    const uint64_t scans =
-        CounterValue("serving.scan_deadline_exceeded") - scan_before;
-    EXPECT_EQ(admitted + shed + deadline, issued.load());
-    EXPECT_EQ(shed, shed_calls.load());
-    EXPECT_EQ(deadline + scans, deadline_calls.load());
-    EXPECT_EQ(ok_calls.load(), admitted - scans);
+  const uint64_t admitted = CounterValue("serving.admitted") -
+                            admitted_before;
+  const uint64_t shed = CounterValue("serving.shed") - shed_before;
+  const uint64_t deadline =
+      CounterValue("serving.deadline_exceeded") - deadline_before;
+  const uint64_t scans =
+      CounterValue("serving.scan_deadline_exceeded") - scan_before;
+  EXPECT_EQ(admitted + shed + deadline, issued.load());
+  EXPECT_EQ(shed, shed_calls.load());
+  EXPECT_EQ(deadline + scans, deadline_calls.load());
+  EXPECT_EQ(ok_calls.load(), admitted - scans);
 
-    // Query-level telemetry reconciles against the same ledger: every
-    // admitted call wrote exactly one wide event, OK or not, and
-    // nothing else did.
-    const obs::QueryLog::Totals logged =
-        guard.telemetry()->query_log().totals();
-    EXPECT_EQ(logged.ok + logged.errors, admitted);
-    EXPECT_EQ(logged.ok, ok_calls.load());
-    EXPECT_EQ(logged.errors, scans);
+  // Query-level telemetry reconciles against the same ledger: every
+  // admitted call wrote exactly one wide event, OK or not, and
+  // nothing else did.
+  const obs::QueryLog::Totals logged =
+      guard.telemetry()->query_log().totals();
+  EXPECT_EQ(logged.ok + logged.errors, admitted);
+  EXPECT_EQ(logged.ok, ok_calls.load());
+  EXPECT_EQ(logged.errors, scans);
 
-    // The storm tripped the availability SLO; with the storm gone and
-    // the fast window drained, the alert clears (the slow window may
-    // still remember the incident — burning needs both).
-    EXPECT_TRUE(saw_burning);
-    EXPECT_GE(availability_breaches, 1u);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    const std::vector<obs::SloStatus> recovered =
-        guard.telemetry()->EvaluateSlos();
-    ASSERT_FALSE(recovered.empty());
-    EXPECT_FALSE(recovered[0].burning);
-    EXPECT_GE(recovered[0].breaches, 1u);
-  }
+  // The storm tripped the availability SLO; with the storm gone and
+  // the fast window drained, the alert clears (the slow window may
+  // still remember the incident — burning needs both).
+  EXPECT_TRUE(saw_burning);
+  EXPECT_GE(availability_breaches, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::vector<obs::SloStatus> recovered =
+      guard.telemetry()->EvaluateSlos();
+  ASSERT_FALSE(recovered.empty());
+  EXPECT_FALSE(recovered[0].burning);
+  EXPECT_GE(recovered[0].breaches, 1u);
 
   // (c) The fault windows passed: the breaker closed again, every
   // generation folded, and the final snapshot carries all of them.

@@ -260,9 +260,7 @@ TEST_F(ServingStoreTest, KillDuringPublishRecoversPreviousGeneration) {
   ASSERT_TRUE(serving.ok()) << serving.status().ToString();
   EXPECT_EQ(generation, 1u);
   EXPECT_EQ(Corridor(*(*serving)->Acquire()), 8u);
-  if (obs::kEnabled) {
-    EXPECT_EQ(Fallbacks(), fallbacks_before + 1);
-  }
+  EXPECT_EQ(Fallbacks(), fallbacks_before + 1);
   std::string served_bytes;
   (*serving)->Acquire()->EncodeTo(&served_bytes);
   EXPECT_EQ(served_bytes, generation_one_bytes);

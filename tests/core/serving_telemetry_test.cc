@@ -233,7 +233,6 @@ TEST(ServingTelemetryTest, RejectionsFeedRatesButNotTheLog) {
 }
 
 TEST(ServingTelemetryTest, WindowGaugesPublishTrailingState) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   ServingTelemetryOptions options;
   options.window_seconds = 1.0;
   options.window_count = 64;
@@ -258,7 +257,6 @@ TEST(ServingTelemetryTest, WindowGaugesPublishTrailingState) {
 }
 
 TEST(ServingTelemetryTest, SloStormBurnsAndRecovers) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   ServingTelemetryOptions options;
   options.window_seconds = 1.0;
   options.window_count = 64;

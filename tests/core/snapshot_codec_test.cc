@@ -216,16 +216,14 @@ TEST_F(SnapshotCodecTest, DamagedNewestGenerationCountsOneOpen) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ(generation, 1u);
     EXPECT_EQ((*opened)->size(), sealed->size());
-    if (obs::kEnabled) {
-      EXPECT_EQ(registry.counter(store::kMetricStoreOpens)->value(),
-                opens + 1);
-      EXPECT_EQ(registry.counter(store::kMetricStoreOpenFailures)->value(),
-                failures);
-      EXPECT_EQ(registry.counter(store::kMetricStoreFallbacks)->value(),
-                fallbacks + 1);
-      EXPECT_EQ(registry.histogram(store::kMetricStoreOpenSeconds)->count(),
-                timed + 1);
-    }
+    EXPECT_EQ(registry.counter(store::kMetricStoreOpens)->value(),
+              opens + 1);
+    EXPECT_EQ(registry.counter(store::kMetricStoreOpenFailures)->value(),
+              failures);
+    EXPECT_EQ(registry.counter(store::kMetricStoreFallbacks)->value(),
+              fallbacks + 1);
+    EXPECT_EQ(registry.histogram(store::kMetricStoreOpenSeconds)->count(),
+              timed + 1);
   }
 }
 

@@ -447,8 +447,7 @@ TEST(ConcurrencyStressTest, StageMetricsCollectorUnderContention) {
 
 TEST(ConcurrencyStressTest, SharedRegistryMetricsFromPoolTasks) {
   // Pool tasks record into one global-registry counter/histogram pair
-  // while ParallelFor storms run; totals must be exact. Under
-  // POL_OBS=OFF recording is a no-op and the totals are zero.
+  // while ParallelFor storms run; totals must be exact.
   auto& registry = obs::Registry::Global();
   obs::Counter* counter = registry.counter("test.stress.events");
   obs::Histogram* histogram = registry.histogram("test.stress.latency");
@@ -468,7 +467,7 @@ TEST(ConcurrencyStressTest, SharedRegistryMetricsFromPoolTasks) {
     }
     pool.Wait();
   }
-  const uint64_t expected = obs::kEnabled ? uint64_t{kTasks} * kPerTask : 0;
+  const uint64_t expected = uint64_t{kTasks} * kPerTask;
   EXPECT_EQ(counter->value(), expected);
   EXPECT_EQ(histogram->count(), expected);
 }

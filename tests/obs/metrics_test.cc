@@ -1,7 +1,5 @@
-// Unit tests for the metrics registry. Recording assertions are gated
-// on obs::kEnabled so the same suite passes under POL_OBS=OFF, where
-// every Record/Increment compiles to a no-op; the structural pieces
-// (bucket math, snapshot shape) hold in both builds.
+// Unit tests for the metrics registry: recording, bucket math, handle
+// stability and snapshot shape.
 
 #include "obs/metrics.h"
 
@@ -19,7 +17,6 @@ namespace pol::obs {
 namespace {
 
 TEST(CounterTest, IncrementAccumulates) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Counter counter;
   EXPECT_EQ(counter.value(), 0u);
   counter.Increment();
@@ -30,7 +27,6 @@ TEST(CounterTest, IncrementAccumulates) {
 }
 
 TEST(GaugeTest, SetAndAdd) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Gauge gauge;
   gauge.Set(7);
   EXPECT_EQ(gauge.value(), 7);
@@ -67,7 +63,6 @@ TEST(HistogramTest, BucketLowerBounds) {
 }
 
 TEST(HistogramTest, RecordTracksCountSumMinMax) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Histogram histogram;
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_DOUBLE_EQ(histogram.min_seconds(), 0.0);  // No-sample sentinel.
@@ -83,7 +78,6 @@ TEST(HistogramTest, RecordTracksCountSumMinMax) {
 }
 
 TEST(HistogramTest, NegativeAndNanClampToZero) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Histogram histogram;
   histogram.Record(-5.0);
   histogram.Record(std::numeric_limits<double>::quiet_NaN());
@@ -93,7 +87,6 @@ TEST(HistogramTest, NegativeAndNanClampToZero) {
 }
 
 TEST(HistogramTest, OverflowCountsSamplesPastLastFiniteBound) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Histogram histogram;
   histogram.Record(2000.0);  // 2e9 us: top bucket, still under 2^31 us.
   EXPECT_EQ(histogram.overflow_count(), 0u);
@@ -110,7 +103,6 @@ TEST(HistogramTest, OverflowCountsSamplesPastLastFiniteBound) {
 }
 
 TEST(HistogramTest, SnapshotCarriesOverflowAndMax) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Registry registry;
   Histogram* histogram = registry.histogram("of.latency");
   histogram->Record(0.001);
@@ -125,19 +117,15 @@ TEST(HistogramTest, SnapshotCarriesOverflowAndMax) {
 TEST(RegistryTest, HandlesAreStableAndNamed) {
   Registry registry;
   Counter* counter = registry.counter("test.counter");
-  // Repeat lookup returns the same stable handle in both builds (under
-  // POL_OBS=OFF every counter is one shared dummy).
+  // Repeat lookup returns the same stable handle.
   EXPECT_EQ(counter, registry.counter("test.counter"));
   // Kind-spaced: the same name as a different kind is a distinct metric.
   EXPECT_NE(static_cast<void*>(counter),
             static_cast<void*>(registry.gauge("test.counter")));
-  if (kEnabled) {
-    EXPECT_NE(counter, registry.counter("test.other"));
-  }
+  EXPECT_NE(counter, registry.counter("test.other"));
 }
 
 TEST(RegistryTest, SnapshotIsSortedByName) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Registry registry;
   registry.counter("zulu")->Increment(1);
   registry.counter("alpha")->Increment(2);
@@ -157,7 +145,6 @@ TEST(RegistryTest, SnapshotIsSortedByName) {
 }
 
 TEST(RegistryTest, ResetZeroesButKeepsHandles) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Registry registry;
   Counter* counter = registry.counter("c");
   Histogram* histogram = registry.histogram("h");
@@ -170,7 +157,6 @@ TEST(RegistryTest, ResetZeroesButKeepsHandles) {
 }
 
 TEST(RegistryTest, SnapshotJsonShape) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Registry registry;
   registry.counter("events")->Increment(5);
   registry.histogram("wait")->Record(0.001);
@@ -189,7 +175,6 @@ TEST(RegistryTest, GlobalIsSingleton) {
 }
 
 TEST(RegistryConcurrencyTest, ConcurrentIncrementsAreExact) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   Registry registry;
   constexpr int kThreads = 8;
   constexpr int kIterations = 20000;

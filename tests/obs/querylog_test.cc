@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace pol::obs {
 namespace {
@@ -65,17 +64,12 @@ std::vector<Json> ParseJsonl(const std::string& jsonl) {
 
 TEST(QueryLogTest, IdsStartAtOneAndIncrement) {
   QueryLog log;
-  if (!kEnabled) {
-    EXPECT_EQ(log.NextId(), 0u);  // 0 = "no id" in disabled builds.
-    return;
-  }
   EXPECT_EQ(log.NextId(), 1u);
   EXPECT_EQ(log.NextId(), 2u);
   EXPECT_EQ(log.NextId(), 3u);
 }
 
 TEST(QueryLogTest, TotalsReconcileAcrossOutcomes) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   QueryLogOptions options;
   options.slow_seconds = 0.1;
   QueryLog log(options);
@@ -96,7 +90,6 @@ TEST(QueryLogTest, TotalsReconcileAcrossOutcomes) {
 }
 
 TEST(QueryLogTest, NotableRingKeepsFreshestIncidents) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   QueryLogOptions options;
   options.notable_capacity = 2;
   QueryLog log(options);
@@ -113,7 +106,6 @@ TEST(QueryLogTest, NotableRingKeepsFreshestIncidents) {
 }
 
 TEST(QueryLogTest, SlowQueriesAreNotableEvenWhenOk) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   QueryLogOptions options;
   options.slow_seconds = 0.05;
   QueryLog log(options);
@@ -128,7 +120,6 @@ TEST(QueryLogTest, SlowQueriesAreNotableEvenWhenOk) {
 }
 
 TEST(QueryLogTest, ReservoirStaysBoundedAndUniformish) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   constexpr uint64_t kEvents = 1000;
   QueryLogOptions options;
   options.sampled_capacity = 8;
@@ -152,7 +143,6 @@ TEST(QueryLogTest, ReservoirStaysBoundedAndUniformish) {
 }
 
 TEST(QueryLogTest, JsonlRoundTripsExactIdsAndEscapes) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   constexpr uint64_t kWideId = (uint64_t{1} << 40) + 123;  // Past 32 bits.
   static constexpr std::string_view kTrickyOp = "route \"hot\"\\backslash";
   QueryLog log;
@@ -182,7 +172,6 @@ TEST(QueryLogTest, JsonlRoundTripsExactIdsAndEscapes) {
 }
 
 TEST(QueryLogTest, NonFiniteDoublesExportAsSentinel) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   QueryLog log;
   QueryEvent event = ErrorEvent(1);
   event.queue_wait_seconds = std::numeric_limits<double>::quiet_NaN();
@@ -199,7 +188,6 @@ TEST(QueryLogTest, NonFiniteDoublesExportAsSentinel) {
 }
 
 TEST(QueryLogTest, ExportMergesRingsSortedById) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   QueryLog log;
   log.Record(OkEvent(4));
   log.Record(ErrorEvent(2));
@@ -214,16 +202,6 @@ TEST(QueryLogTest, ExportMergesRingsSortedById) {
     EXPECT_GT(id, previous);  // Strictly ascending across both rings.
     previous = id;
   }
-}
-
-TEST(QueryLogDisabledTest, RecordingIsANoOp) {
-  if (kEnabled) GTEST_SKIP() << "covers the POL_OBS=OFF build only";
-  QueryLog log;
-  EXPECT_EQ(log.NextId(), 0u);
-  log.Record(OkEvent(1));
-  const QueryLog::Totals totals = log.totals();
-  EXPECT_EQ(totals.events, 0u);
-  EXPECT_TRUE(log.ExportJsonl().empty());
 }
 
 }  // namespace

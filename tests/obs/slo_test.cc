@@ -27,7 +27,6 @@ uint64_t CounterValue(const std::string& name) {
 }
 
 TEST(SloTrackerTest, AvailabilityBurnRateMath) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedRate good(1.0, 64);
   WindowedRate bad(1.0, 64);
   good.IncrementAt(100.5, 9);
@@ -64,7 +63,6 @@ TEST(SloTrackerTest, AvailabilityBurnRateMath) {
 }
 
 TEST(SloTrackerTest, NoTrafficSpendsNoBudget) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedRate good(1.0, 64);
   WindowedRate bad(1.0, 64);
   SloTracker tracker("slo_test.idle.");
@@ -87,7 +85,6 @@ TEST(SloTrackerTest, NoTrafficSpendsNoBudget) {
 // the slow one (no page on a blip); an old, drained incident shows in
 // the slow window only. Neither alone reports burning.
 TEST(SloTrackerTest, BurnsOnlyWhenBothWindowsOverThreshold) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedRate good(1.0, 64);
   WindowedRate bad(1.0, 64);
   // 21 seconds of healthy traffic...
@@ -134,7 +131,6 @@ TEST(SloTrackerTest, BurnsOnlyWhenBothWindowsOverThreshold) {
 }
 
 TEST(SloTrackerTest, LatencyQuantileBurnAndRecovery) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram latency(1.0, 64);
   SloTracker tracker("slo_test.lat.");
   SloSpec spec;
@@ -178,7 +174,6 @@ TEST(SloTrackerTest, LatencyQuantileBurnAndRecovery) {
 }
 
 TEST(SloTrackerTest, LatencyUnderBoundDoesNotBurn) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram latency(1.0, 64);
   for (int i = 0; i < 100; ++i) latency.RecordAt(10.5, 10e-6);
   SloTracker tracker("slo_test.fastlat.");
@@ -200,7 +195,6 @@ TEST(SloTrackerTest, LatencyUnderBoundDoesNotBurn) {
 }
 
 TEST(SloTrackerTest, EvaluationPreservesAddOrder) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedRate good(1.0, 8);
   WindowedRate bad(1.0, 8);
   WindowedHistogram latency(1.0, 8);

@@ -1,8 +1,7 @@
 // Unit tests for the trace recorder and the scoped-span macro. The
 // recording tests drive local TraceRecorder instances; the macro tests
 // go through the global recorder (cleared per test) because that is
-// what POL_TRACE_SPAN records into. Under POL_OBS=OFF every test still
-// runs: the export must stay valid (and empty).
+// what POL_TRACE_SPAN records into.
 
 #include "obs/trace.h"
 
@@ -26,7 +25,6 @@ Json ParseExport(const TraceRecorder& recorder) {
 }
 
 TEST(TraceRecorderTest, RecordsArriveSortedByTimestamp) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   TraceRecorder recorder;
   recorder.Record("late", 300, 10);
   recorder.Record("early", 100, 5);
@@ -40,7 +38,6 @@ TEST(TraceRecorderTest, RecordsArriveSortedByTimestamp) {
 }
 
 TEST(TraceRecorderTest, ClearDropsEvents) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   TraceRecorder recorder;
   recorder.Record("span", 1, 1);
   recorder.Clear();
@@ -48,7 +45,6 @@ TEST(TraceRecorderTest, ClearDropsEvents) {
 }
 
 TEST(TraceRecorderTest, ExportIsWellFormedChromeTrace) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   TraceRecorder recorder;
   recorder.Record("stage.cleaning", 1000, 250);
   const Json document = ParseExport(recorder);
@@ -75,7 +71,6 @@ TEST(TraceRecorderTest, EmptyExportIsValidJson) {
 }
 
 TEST(TraceRecorderTest, ThreadsGetDistinctTids) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   TraceRecorder recorder;
   std::thread a([&] { recorder.Record("a", 1, 1); });
   std::thread b([&] { recorder.Record("b", 2, 1); });
@@ -102,10 +97,6 @@ TEST_F(ScopedSpanTest, SpanRecordsWhileStarted) {
   TraceRecorder::Global().Start();
   { POL_TRACE_SPAN("test.span"); }
   TraceRecorder::Global().Stop();
-  if (!kEnabled) {
-    EXPECT_EQ(TraceRecorder::Global().event_count(), 0u);
-    return;
-  }
   const std::vector<TraceEvent> events = TraceRecorder::Global().Events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "test.span");
@@ -136,10 +127,6 @@ TEST_F(ScopedSpanTest, SpanBegunWhileStartedRecordsAfterStop) {
     POL_TRACE_SPAN("test.straddler");
     TraceRecorder::Global().Stop();
   }
-  if (!kEnabled) {
-    EXPECT_EQ(TraceRecorder::Global().event_count(), 0u);
-    return;
-  }
   EXPECT_EQ(TraceRecorder::Global().event_count(), 1u);
 }
 
@@ -152,10 +139,6 @@ TEST_F(ScopedSpanTest, NestedSpansAllRecord) {
     }
   }
   TraceRecorder::Global().Stop();
-  if (!kEnabled) {
-    EXPECT_EQ(TraceRecorder::Global().event_count(), 0u);
-    return;
-  }
   const std::vector<TraceEvent> events = TraceRecorder::Global().Events();
   ASSERT_EQ(events.size(), 2u);
   const TraceEvent& outer = events[0].name == "outer" ? events[0] : events[1];

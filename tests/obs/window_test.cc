@@ -67,7 +67,6 @@ TEST(WindowedHistogramTest, GeometryIsClamped) {
 }
 
 TEST(WindowedHistogramTest, RecordLandsInItsWindow) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram hist(1.0, 8);
   hist.RecordAt(0.5, 0.001);
   const WindowedSnapshot snapshot = hist.TrailingSnapshotAt(0.5, 1);
@@ -79,7 +78,6 @@ TEST(WindowedHistogramTest, RecordLandsInItsWindow) {
 }
 
 TEST(WindowedHistogramTest, TrailingWindowsExcludeOlderEpochs) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram hist(1.0, 4);
   hist.RecordAt(0.5, 0.001);  // Epoch 0.
   hist.RecordAt(1.5, 0.002);  // Epoch 1.
@@ -91,7 +89,6 @@ TEST(WindowedHistogramTest, TrailingWindowsExcludeOlderEpochs) {
 }
 
 TEST(WindowedHistogramTest, RingRecyclingExpiresOldSamples) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram hist(1.0, 4);
   hist.RecordAt(0.5, 0.001);  // Epoch 0.
   hist.RecordAt(1.5, 0.002);  // Epoch 1.
@@ -105,7 +102,6 @@ TEST(WindowedHistogramTest, RingRecyclingExpiresOldSamples) {
 }
 
 TEST(WindowedHistogramTest, StaleStragglerDropsItsSampleBounded) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram hist(1.0, 4);
   hist.RecordAt(6.5, 0.001);  // Epoch 6 owns slot 2.
   hist.RecordAt(2.5, 0.002);  // Epoch 2 maps to slot 2 — already newer.
@@ -118,7 +114,6 @@ TEST(WindowedHistogramTest, StaleStragglerDropsItsSampleBounded) {
 // estimate lands within one power-of-two bucket of the exact sample
 // quantile, on distributions shaped like real scan latencies.
 TEST(WindowedHistogramTest, QuantileWithinOneBucketOfExact) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   struct Case {
     const char* name;
     std::vector<double> samples;
@@ -167,7 +162,6 @@ TEST(WindowedHistogramTest, QuantileWithinOneBucketOfExact) {
 }
 
 TEST(WindowedHistogramTest, QuantileClampedToObservedRange) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram hist(1.0, 4);
   for (int i = 0; i < 100; ++i) hist.RecordAt(10.5, 0.003);
   // A constant distribution collapses the clamp to one point: every
@@ -183,7 +177,6 @@ TEST(WindowedHistogramTest, QuantileClampedToObservedRange) {
 }
 
 TEST(WindowedHistogramTest, OverflowSamplesAreCountedAndBounded) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedHistogram hist(1.0, 4);
   hist.RecordAt(10.5, 2500.0);  // ~2.5e9 us: past the last finite bound.
   hist.RecordAt(10.5, 5000.0);
@@ -204,7 +197,6 @@ TEST(WindowedHistogramTest, OverflowSamplesAreCountedAndBounded) {
 // pre-touch that settles the first-sample slot reset) every record
 // must land — the lock-free path loses nothing off the window edge.
 TEST(WindowedHistogramTest, ConcurrentSameEpochCountsExactly) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   WindowedHistogram hist(1.0, 4);
@@ -227,7 +219,6 @@ TEST(WindowedHistogramTest, ConcurrentSameEpochCountsExactly) {
 // merges trailing snapshots: the TSan target for the slot-rotation CAS.
 // Losses at window edges are bounded and allowed; torn values are not.
 TEST(WindowedHistogramTest, ConcurrentRotationUnderReaders) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   constexpr int kWriters = 4;
   constexpr int kEpochs = 5000;
   constexpr double kTick = 0.001;
@@ -259,7 +250,6 @@ TEST(WindowedHistogramTest, ConcurrentRotationUnderReaders) {
 }
 
 TEST(WindowedRateTest, TrailingTotalsAndRates) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedRate rate(1.0, 4);
   rate.IncrementAt(0.5, 3);  // Epoch 0.
   rate.IncrementAt(1.5, 2);  // Epoch 1.
@@ -272,7 +262,6 @@ TEST(WindowedRateTest, TrailingTotalsAndRates) {
 }
 
 TEST(WindowedRateTest, RecyclingDropsExpiredCounts) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   WindowedRate rate(1.0, 4);
   rate.IncrementAt(0.5, 7);   // Epoch 0.
   rate.IncrementAt(5.5, 1);   // Epoch 5: epoch 0 is out of the ring span.
@@ -283,7 +272,6 @@ TEST(WindowedRateTest, RecyclingDropsExpiredCounts) {
 }
 
 TEST(WindowedRateTest, ConcurrentSameEpochCountsExactly) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops";
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   WindowedRate rate(1.0, 4);
@@ -298,19 +286,6 @@ TEST(WindowedRateTest, ConcurrentSameEpochCountsExactly) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(rate.TotalAt(100.9, 1),
             static_cast<uint64_t>(kThreads) * kPerThread + 1);
-}
-
-TEST(WindowedDisabledTest, EverythingIsEmptyWhenCompiledOut) {
-  if (kEnabled) GTEST_SKIP() << "covers the POL_OBS=OFF build only";
-  WindowedHistogram hist(1.0, 4);
-  hist.Record(0.5);
-  hist.RecordAt(1.5, 0.5);
-  EXPECT_EQ(hist.TrailingSnapshotAt(1.9, 0).count, 0u);
-  EXPECT_EQ(hist.QuantileEstimateAt(1.9, 0.99), 0.0);
-  WindowedRate rate(1.0, 4);
-  rate.Increment();
-  rate.IncrementAt(1.5, 5);
-  EXPECT_EQ(rate.TotalAt(1.9, 0), 0u);
 }
 
 }  // namespace

@@ -109,10 +109,8 @@ TEST_F(SnapshotStoreTest, PublishRejectsInvalidImage) {
   const Result<uint64_t> generation = store.Publish("not a POLSNAP1 file");
   EXPECT_EQ(generation.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(store.ListGenerations().empty());
-  if (obs::kEnabled) {
-    EXPECT_EQ(CounterValue(kMetricStorePublishFailures),
-              failures_before + 1);
-  }
+  EXPECT_EQ(CounterValue(kMetricStorePublishFailures),
+            failures_before + 1);
 }
 
 TEST_F(SnapshotStoreTest, GcKeepsNewestGenerations) {
@@ -146,9 +144,7 @@ TEST_F(SnapshotStoreTest, OpenLatestSkipsCorruptNewest) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened->generation, 1u);
   EXPECT_EQ(SectionString(*opened, 0x01), "good");
-  if (obs::kEnabled) {
-    EXPECT_EQ(CounterValue(kMetricStoreFallbacks), fallbacks_before + 1);
-  }
+  EXPECT_EQ(CounterValue(kMetricStoreFallbacks), fallbacks_before + 1);
 }
 
 TEST_F(SnapshotStoreTest, AllGenerationsCorruptIsDataLoss) {

@@ -562,9 +562,10 @@ class Linter {
   // --- direct-timing ------------------------------------------------------
   // Library code must measure time through obs/clock.h (obs::NowSeconds,
   // obs::ScopedTimer, POL_TRACE_SPAN) rather than reading the monotonic
-  // clocks directly: that keeps one timing authority the POL_OBS switch
-  // and the trace/metrics layer can see. (system_clock is out of scope —
-  // wall-calendar time is common/time_util's business.)
+  // clocks directly: that keeps one timing authority with one epoch, so
+  // metric durations, trace spans and run-report seconds line up and the
+  // trace/metrics layer sees every timed region. (system_clock is out of
+  // scope — wall-calendar time is common/time_util's business.)
   void CheckDirectTiming() {
     static const std::regex kClockNow(
         R"((^|[^\w])(std::chrono::)?(steady_clock|high_resolution_clock)\s*::\s*now\s*\()");

@@ -14,7 +14,7 @@
 #   tools/run_tier1.sh --analyze  # + Clang -Wthread-safety build (needs clang++)
 #   tools/run_tier1.sh --tidy     # + clang-tidy over src/ (needs clang-tidy)
 #   tools/run_tier1.sh --format   # + clang-format check of touched files
-#   tools/run_tier1.sh --obs      # + obs tests, POL_OBS=OFF build, overhead benches
+#   tools/run_tier1.sh --obs      # + obs-labelled tests, overhead benches
 #   tools/run_tier1.sh --soak     # + serving chaos soak under TSan and fail points
 #   tools/run_tier1.sh --store    # + snapshot-store suites (ASan + fail points),
 #                                 #   cold-start bench vs LoadFromFile+Seal
@@ -148,13 +148,10 @@ tidy_pass() {
 }
 
 obs_pass() {
-  echo "== obs pass: observability tests, POL_OBS=OFF build, overhead bench =="
+  echo "== obs pass: observability tests, overhead benches =="
   run_labelled "$ROOT/build" obs
   cmake --build "$ROOT/build" -j "$JOBS" --target \
     bench_obs_overhead bench_serving_telemetry
-  # The layer must compile to no-ops and the same suite must still pass.
-  cmake -B "$ROOT/build-noobs" -S "$ROOT" -DPOL_OBS=OFF
-  run_labelled "$ROOT/build-noobs" obs
   # Overhead bar: instrumentation on (idle recorder) within 2% of a
   # trace-recording run; the bench exits non-zero past the threshold.
   # Summaries land in build/bench-reports/, like the --store pass's.
