@@ -7,10 +7,21 @@
 //   raw         - ServingInventory::Acquire() + a batch of point lookups
 //   guarded     - the same batch inside ServingGuard::Run with telemetry
 //                 off and an infinite deadline (admission fast path: two
-//                 atomics + one clock read per call)
+//                 atomics + one clock read per call; the snapshot is the
+//                 thread's pinned one)
 //   telemetered - telemetry on: every call records into two windowed
 //                 rings and the query log, with the exporter thread
 //                 rendering OpenMetrics to a temp file in the background
+//
+// A guarded call writes no cache line another thread's call writes,
+// except the class's in-flight slot count, the query log's id counter
+// and (OK calls) the reservoir's seen-counter; its snapshot pin holds
+// the snapshot until the thread's first call after a swap (DESIGN.md
+// §3.7). The single-threaded bars cannot see sharing, so a report-only
+// concurrent shape runs beside them: kConcurrentThreads threads making
+// calls of kConcurrentLookupsPerCall lookups (about one ETA estimate),
+// bare lookups on a held snapshot against telemetered calls. Its
+// concurrent_* keys carry no bar.
 //
 // Each timed call does kLookupsPerCall point lookups, mirroring one
 // real request answering a corridor. There are two bars, each 2%:
@@ -26,10 +37,14 @@
 // are still reported. Exits non-zero past either bar so
 // tools/run_tier1.sh --obs can gate on it.
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -50,15 +65,26 @@ constexpr int kSlicesPerRound = 48;
 constexpr int kCallsPerSlice = kCallsPerRound / kSlicesPerRound;
 static_assert(kCallsPerSlice * kSlicesPerRound == kCallsPerRound);
 
-// One call's lookups, cycling through `probes` from *cursor. Every
-// shape runs this same out-of-line loop, so the bars time what wraps a
-// call, not how each shape's copy of the loop was compiled.
+// The report-only concurrent call shape: kConcurrentThreads fresh
+// threads, started together, each making kConcurrentCallsPerThread
+// calls of kConcurrentLookupsPerCall lookups — about the lookups of one
+// ETA estimate, at the two clients of perfbench's closed loop.
+constexpr int kConcurrentThreads = 2;
+constexpr int kConcurrentLookupsPerCall = 3;
+constexpr int kConcurrentCallsPerThread = 4000;
+constexpr int kConcurrentRounds = 5;
+constexpr int kConcurrentSlices = 16;
+
+// One call's `lookups` lookups, cycling through `probes` from *cursor.
+// Every shape runs this same out-of-line loop, so the bars time what
+// wraps a call, not how each shape's copy of the loop was compiled.
 [[gnu::noinline]] uint64_t LookupBatch(
     const core::InventorySnapshot& snapshot,
-    const std::vector<hex::CellIndex>& probes, size_t* cursor) {
+    const std::vector<hex::CellIndex>& probes, size_t* cursor,
+    int lookups = kLookupsPerCall) {
   uint64_t found = 0;
   size_t next = *cursor;
-  for (int i = 0; i < kLookupsPerCall; ++i) {
+  for (int i = 0; i < lookups; ++i) {
     if (snapshot.Cell(probes[next]) != nullptr) ++found;
     next = (next + 1) % probes.size();
   }
@@ -90,6 +116,31 @@ uint64_t GuardSlice(core::ServingGuard& guard,
     if (!status.ok()) return 0;  // Admission must never fail here.
   }
   return found;
+}
+
+// One slice of the concurrent shape: every thread runs `call(&cursor)`
+// kConcurrentCallsPerThread times from its own cursor. Returns the
+// summed lookup hits.
+template <typename Call>
+uint64_t ConcurrentSlice(const Call& call) {
+  std::atomic<bool> go{false};
+  std::array<uint64_t, kConcurrentThreads> found{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kConcurrentThreads; ++t) {
+    threads.emplace_back([&go, &found, &call, t] {
+      size_t cursor = static_cast<size_t>(t) * 7;
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      uint64_t hits = 0;
+      for (int c = 0; c < kConcurrentCallsPerThread; ++c) hits += call(&cursor);
+      found[static_cast<size_t>(t)] = hits;
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  uint64_t total = 0;
+  for (const uint64_t hits : found) total += hits;
+  return total;
 }
 
 int Run(int argc, char** argv) {
@@ -148,9 +199,38 @@ int Run(int argc, char** argv) {
        {kTelemetered, kGuarded, 1.0 + kMaxOverhead,
         bench::Estimator::kMedianPaired}},
       kRounds, kSlicesPerRound);
+
+  // Report only: the concurrent shape, raw (bare lookups on one held
+  // snapshot) against telemetered calls. Its one bar cannot be missed;
+  // it is there to read the median paired ratio.
+  const std::shared_ptr<const core::InventorySnapshot> held = store.Acquire();
+  const bench::Comparison concurrent = bench::CompareInterleaved(
+      {{"concurrent_raw",
+        [&] {
+          return ConcurrentSlice([&](size_t* cursor) {
+            return LookupBatch(*held, probes, cursor,
+                               kConcurrentLookupsPerCall);
+          });
+        }},
+       {"concurrent_telemetered",
+        [&] {
+          return ConcurrentSlice([&](size_t* cursor) {
+            uint64_t hits = 0;
+            const Status status = telemetered.Run(
+                core::QueryClass::kInteractive, Deadline(),
+                [&](const core::InventorySnapshot& snapshot) {
+                  hits = LookupBatch(snapshot, probes, cursor,
+                                     kConcurrentLookupsPerCall);
+                  return Status::OK();
+                });
+            return status.ok() ? hits : 0;
+          });
+        }}},
+      {{1, 0, 1e9, bench::Estimator::kMedianPaired}}, kConcurrentRounds,
+      kConcurrentSlices);
   telemetered.StopTelemetryExporter();
   std::filesystem::remove_all(out_dir);
-  if (result.diverged) {
+  if (result.diverged || concurrent.diverged) {
     std::fprintf(stderr, "FAIL: guarded or telemetered lookups diverge\n");
     return 1;
   }
@@ -207,6 +287,25 @@ int Run(int argc, char** argv) {
   summary.Set("overhead_estimator", "median_paired_slice_ratio");
   summary.Set("max_overhead_frac", kMaxOverhead);
   summary.Set("logged_events", totals.events);
+  // The report-only concurrent shape (no bar): wall ns per call over
+  // the whole round, i.e. the inverse of the threads' joint throughput.
+  const double concurrent_calls_per_round =
+      static_cast<double>(kConcurrentSlices) * kConcurrentThreads *
+      kConcurrentCallsPerThread;
+  const double concurrent_raw_ns =
+      concurrent.min_s[0] / concurrent_calls_per_round * 1e9;
+  const double concurrent_telemetered_ns =
+      concurrent.min_s[1] / concurrent_calls_per_round * 1e9;
+  std::printf("concurrent  (%d threads x %d lookups, report only): raw "
+              "%.0f ns/call, telemetered %.0f ns/call, overhead %s\n",
+              kConcurrentThreads, kConcurrentLookupsPerCall,
+              concurrent_raw_ns, concurrent_telemetered_ns,
+              bench::FormatPercent(concurrent.ratios[0] - 1.0).c_str());
+  summary.Set("concurrent_threads", kConcurrentThreads);
+  summary.Set("concurrent_lookups_per_call", kConcurrentLookupsPerCall);
+  summary.Set("concurrent_raw_ns_per_call", concurrent_raw_ns);
+  summary.Set("concurrent_telemetered_ns_per_call", concurrent_telemetered_ns);
+  summary.Set("concurrent_overhead_frac", concurrent.ratios[0] - 1.0);
   const int written = summary.Write();
 
   if (!result.met) {

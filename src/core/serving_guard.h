@@ -73,6 +73,16 @@
 // bench_serving_telemetry holds it (telemetry off) to <2% overhead on
 // the Acquire + point-lookup hot path.
 //
+// Shared cache lines (DESIGN.md §3.7): a guarded call reads its
+// snapshot through the calling thread's pin
+// (ServingInventory::PinnedRead, valid for the whole call), and its
+// counters and telemetry are striped per thread, so it writes no cache
+// line another thread's guarded call also writes — except the class's
+// `in_flight` slot count (exact admission limits), the query log's id
+// counter (increasing ids) and, on OK calls, the reservoir's
+// seen-counter (a uniform sample). The first call after a Swap re-pins
+// under the store's holder mutex.
+//
 // Query-level telemetry (DESIGN.md §3.8): unless disabled through
 // ServingGuardOptions::telemetry, every guarded call additionally
 // lands in the guard's ServingTelemetry — a query id (joined to the
@@ -144,7 +154,10 @@ class ServingGuard {
   // cancellation; a kDeadlineExceeded return is counted as a mid-scan
   // cancel. Templated so the hot path inlines — the guard's cost is
   // the admission atomics plus one clock read (three with telemetry,
-  // which also buys the windowed record and the query-log row).
+  // which also buys the windowed record and the query-log row). The
+  // snapshot is the thread's pinned one; a guarded call made from
+  // inside `fn` is safe, and sees a newer snapshot if one was swapped
+  // in meanwhile.
   template <typename Fn>
   Status Run(QueryClass cls, const Deadline& deadline, Fn&& fn) {
     return RunOp("query", cls, deadline, std::forward<Fn>(fn));
@@ -215,7 +228,10 @@ class ServingGuard {
   // is parked on the condition variable, so the uncontended release
   // never takes the mutex. Both are seq_cst where they rendezvous —
   // see AdmitSlow/Release in the .cc for the missed-wakeup argument.
-  struct ClassState {
+  // `in_flight` is the one line every guarded call of a class writes
+  // (the limit must be exact), so each class sits on its own cache
+  // line, apart from the read-only state around it.
+  struct alignas(obs::kCacheLineBytes) ClassState {
     std::atomic<int> in_flight{0};
     std::atomic<int> waiters{0};
     int limit = 0;
@@ -255,8 +271,7 @@ class ServingGuard {
       }
     }
     const double admitted_at = telemetered ? obs::NowSecondsFast() : 0.0;
-    const std::shared_ptr<const InventorySnapshot> snapshot =
-        store_->Acquire();
+    const ServingInventory::PinnedRead snapshot(*store_);
     const uint64_t id = telemetered ? telemetry->BeginQuery() : 0;
     // The per-query span joins the query-log row on the id. Built only
     // while the recorder collects, so the untraced path allocates

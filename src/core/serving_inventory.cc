@@ -1,5 +1,7 @@
 #include "core/serving_inventory.h"
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,8 +17,77 @@
 
 namespace pol::core {
 
+// A thread's pin: the snapshot it last read and the swap generation it
+// was read at (0: none yet). `in_use` is set while the outermost
+// PinnedRead on the thread reads through it, so a nested read never
+// re-pins (and so releases) a snapshot the outer read is using.
+struct ServingInventory::ReadPin {
+  uint64_t generation = 0;
+  std::shared_ptr<const InventorySnapshot> snapshot;
+  bool in_use = false;
+};
+
+namespace {
+
+// Swap generations, process-wide: a pin's generation names both the
+// store and the snapshot it was read from, so a pin left over from one
+// store never matches another (even one built at the same address).
+std::atomic<uint64_t> next_swap_generation{0};
+
+}  // namespace
+
+ServingInventory::ReadPin& ServingInventory::ThisThreadPin() {
+  thread_local ReadPin pin;
+  return pin;
+}
+
+bool ServingInventory::PinIsCurrent(const ReadPin& pin) const {
+  return pin.generation == generation_.load(std::memory_order_acquire);
+}
+
+std::shared_ptr<const InventorySnapshot> ServingInventory::LoadActive()
+    const {
+  MutexLock lock(snapshot_mutex_);
+  return snapshot_;
+}
+
+void ServingInventory::Repin(ReadPin& pin) const {
+  // Declared before the lock so the superseded snapshot — possibly its
+  // last reference, and so a large free or an unmap — is released after
+  // the holder mutex.
+  std::shared_ptr<const InventorySnapshot> superseded;
+  MutexLock lock(snapshot_mutex_);
+  superseded = std::move(pin.snapshot);
+  pin.snapshot = snapshot_;
+  pin.generation = generation_.load(std::memory_order_relaxed);
+}
+
+ServingInventory::PinnedRead::PinnedRead(const ServingInventory& store) {
+  store.reader_acquisitions_->Increment();
+  ReadPin& pin = ThisThreadPin();
+  if (!store.PinIsCurrent(pin)) {
+    if (pin.in_use) {
+      own_ = store.LoadActive();
+      snapshot_ = own_.get();
+      return;
+    }
+    store.Repin(pin);
+  }
+  snapshot_ = pin.snapshot.get();
+  if (!pin.in_use) {
+    pin.in_use = true;
+    pin_in_use_ = &pin.in_use;
+  }
+}
+
+ServingInventory::PinnedRead::~PinnedRead() {
+  if (pin_in_use_ != nullptr) *pin_in_use_ = false;
+}
+
 ServingInventory::ServingInventory(
-    std::shared_ptr<const InventorySnapshot> initial) {
+    std::shared_ptr<const InventorySnapshot> initial)
+    : reader_acquisitions_(obs::Registry::Global().counter(
+          kMetricServingReaderAcquisitions)) {
   POL_CHECK(initial != nullptr);
   {
     MutexLock lock(refresh_mutex_);
@@ -62,36 +133,34 @@ void ServingInventory::AttachDurableStore(store::SnapshotStore* durable) {
 }
 
 std::shared_ptr<const InventorySnapshot> ServingInventory::Acquire() const {
-  obs::Registry::Global()
-      .counter(kMetricServingReaderAcquisitions)
-      ->Increment();
-#if defined(POL_SERVING_SNAPSHOT_ATOMIC)
-  return snapshot_.load(std::memory_order_acquire);
-#else
-  MutexLock lock(snapshot_mutex_);
-  return snapshot_;
-#endif
+  reader_acquisitions_->Increment();
+  ReadPin& pin = ThisThreadPin();
+  if (!PinIsCurrent(pin)) {
+    if (pin.in_use) return LoadActive();
+    Repin(pin);
+  }
+  return pin.snapshot;
 }
 
 void ServingInventory::Swap(std::shared_ptr<const InventorySnapshot> next) {
   POL_CHECK(next != nullptr);
   POL_TRACE_SPAN(kSpanServingSwap);
   const uint64_t seal_sequence = next->stats().seal_sequence;
-#if defined(POL_SERVING_SNAPSHOT_ATOMIC)
-  snapshot_.store(std::move(next), std::memory_order_release);
-#else
+  const auto summaries = static_cast<int64_t>(next->size());
   {
+    // The superseded snapshot is released after the lock, by `next`.
     MutexLock lock(snapshot_mutex_);
-    snapshot_ = std::move(next);
+    snapshot_.swap(next);
+    generation_.store(
+        next_swap_generation.fetch_add(1, std::memory_order_relaxed) + 1,
+        std::memory_order_release);
   }
-#endif
   swap_count_.fetch_add(1, std::memory_order_relaxed);
   active_seal_sequence_.store(seal_sequence, std::memory_order_relaxed);
   published_at_micros_.store(obs::NowMicros(), std::memory_order_relaxed);
   auto& registry = obs::Registry::Global();
   registry.counter(kMetricServingSwaps)->Increment();
-  registry.gauge(kMetricServingActiveSnapshotSummaries)
-      ->Set(static_cast<int64_t>(Acquire()->size()));
+  registry.gauge(kMetricServingActiveSnapshotSummaries)->Set(summaries);
 }
 
 double ServingInventory::active_snapshot_age_seconds() const {

@@ -4,35 +4,49 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <version>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 #include "core/inventory.h"
 #include "core/inventory_snapshot.h"
+#include "obs/metrics.h"
 
-// The hot-swap serving store: an atomic holder of the current immutable
-// InventorySnapshot. Readers Acquire() the active snapshot (one atomic
-// shared_ptr load) and query it lock-free; Refresh() merge-seals a
-// delta into the newest sealed image (InventorySnapshot::MergeSeal:
-// untouched summaries copied verbatim, only the delta's keys decoded
-// and re-encoded) and publishes the result with Swap(). A sealed
-// snapshot serves its heap image exactly as a stored one serves its
-// mapping, summaries decoding lazily on first touch. Concurrent
-// readers keep querying the old snapshot, which stays alive until its
-// last shared_ptr drops. This is the paper's daily incremental fold
-// turned into a zero-downtime refresh.
+// The hot-swap serving store: the holder of the current immutable
+// InventorySnapshot. Refresh() merge-seals a delta into the newest
+// sealed image (InventorySnapshot::MergeSeal: untouched summaries
+// copied verbatim, only the delta's keys decoded and re-encoded) and
+// publishes the result with Swap(). A sealed snapshot serves its heap
+// image exactly as a stored one serves its mapping, summaries decoding
+// lazily on first touch. Concurrent readers keep querying the old
+// snapshot, which stays alive until its last reference drops. This is
+// the paper's daily incremental fold turned into a zero-downtime
+// refresh.
+//
+// Reads go through a per-thread pin (PinnedRead, and Acquire on top of
+// it): each thread keeps a reference to the snapshot it last read,
+// tagged with the store's swap generation. A read whose pin matches the
+// current generation — one load of a word only Swap writes — uses the
+// pinned snapshot and writes nothing shared: no refcount, no lock (the
+// serving.reader_acquisitions count it adds is striped per thread).
+// Only after a Swap does a thread's next read take the slow path,
+// re-pinning under the holder mutex. So a superseded snapshot lives
+// until every thread that read it has read again (or exited), and a
+// thread that stops reading keeps its last snapshot until it exits.
+// A thread has one pin, so a thread alternating between two stores
+// re-pins at every switch. There is one holder in every build: the
+// mutex slow path is plain code TSan sees through, so sanitizer builds
+// test the production read path.
 //
 // No build-side Inventory is kept: the image is the refresh foundation,
 // so a process cold-started from a stored generation refreshes it as
 // fully as the process that sealed it.
 //
 // ServingInventory is a holder, not a query surface: readers Acquire()
-// a snapshot (or go through ServingGuard, which acquires per call) and
-// query that. Holding the acquired shared_ptr keeps every pointer
-// answered from it valid, and a multi-call consumer (e.g. a LaneAnalyzer
-// sweep) sees one consistent view across its calls.
+// a snapshot (or go through ServingGuard, which takes a PinnedRead per
+// call) and query that. Holding the acquired shared_ptr keeps every
+// pointer answered from it valid, and a multi-call consumer (e.g. a
+// LaneAnalyzer sweep) sees one consistent view across its calls.
 //
 // Metrics (obs::Registry, surfaced in the pol.run_report/1 metrics
 // block): serving.seal_seconds (histogram, recorded by every seal and
@@ -40,23 +54,6 @@
 // serving.reader_acquisitions / serving.refresh.keys_copied /
 // serving.refresh.keys_merged / serving.refresh.keys_added (counters),
 // serving.active_snapshot_summaries (gauge).
-
-// Snapshot-holder backend selection. The lock-free path needs library
-// support for std::atomic<std::shared_ptr>; ThreadSanitizer builds use
-// the mutex fallback instead, because TSan cannot see through
-// libstdc++'s _Sp_atomic spinlock (the lock bit lives inside the
-// control-block word) and reports its internal pointer swap as a race.
-#if defined(__SANITIZE_THREAD__)
-#define POL_SERVING_SNAPSHOT_MUTEX 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define POL_SERVING_SNAPSHOT_MUTEX 1
-#endif
-#endif
-#if !defined(POL_SERVING_SNAPSHOT_MUTEX) && \
-    defined(__cpp_lib_atomic_shared_ptr)
-#define POL_SERVING_SNAPSHOT_ATOMIC 1
-#endif
 
 namespace pol::store {
 class SnapshotStore;
@@ -108,8 +105,39 @@ class ServingInventory final {
 
   // The active snapshot; never null. Holding the returned shared_ptr
   // keeps that snapshot (and every pointer queried from it) alive
-  // across any number of concurrent Swap()s.
+  // across any number of concurrent Swap()s. Copied from the calling
+  // thread's pin (re-pinned first if a Swap moved the generation), so
+  // it costs one refcount increment.
   std::shared_ptr<const InventorySnapshot> Acquire() const;
+
+  // The active snapshot for one scope, read through the calling
+  // thread's pin: while the pin is current it takes no reference and
+  // writes no shared cache line (the guarded-call read). The snapshot
+  // stays valid for the PinnedRead's lifetime, across concurrent
+  // Swap()s. A PinnedRead nested inside another on the same thread (a
+  // guarded call made from inside a guarded call) borrows the pin when
+  // it is current, and otherwise takes its own reference, so the outer
+  // read's snapshot is never released under it. Counts one
+  // serving.reader_acquisitions, like Acquire.
+  class PinnedRead {
+   public:
+    explicit PinnedRead(const ServingInventory& store);
+    ~PinnedRead();
+
+    PinnedRead(const PinnedRead&) = delete;
+    PinnedRead& operator=(const PinnedRead&) = delete;
+
+    const InventorySnapshot& operator*() const { return *snapshot_; }
+    const InventorySnapshot* operator->() const { return snapshot_; }
+
+   private:
+    const InventorySnapshot* snapshot_ = nullptr;
+    // Set when this read marked the thread's pin in use (the outermost
+    // read); cleared again by the destructor.
+    bool* pin_in_use_ = nullptr;
+    // A nested read that found the pin stale holds its own reference.
+    std::shared_ptr<const InventorySnapshot> own_;
+  };
 
   // Merge-seals `delta` into the refresh foundation — the newest sealed
   // image, published or not — and publishes the result. Every
@@ -154,8 +182,18 @@ class ServingInventory final {
   uint64_t DistinctCells() const { return Acquire()->DistinctCells(); }
 
  private:
+  struct ReadPin;
+
   // Makes `next` the active snapshot. Must not be null.
   void Swap(std::shared_ptr<const InventorySnapshot> next);
+
+  // The active snapshot, copied under the holder mutex.
+  std::shared_ptr<const InventorySnapshot> LoadActive() const;
+  // Points the thread's pin at the active snapshot and generation.
+  void Repin(ReadPin& pin) const;
+  bool PinIsCurrent(const ReadPin& pin) const;
+  // The calling thread's pin (one per thread, shared by every store).
+  static ReadPin& ThisThreadPin();
 
   mutable Mutex refresh_mutex_;
   // What the next Refresh merges into: the newest sealed image. It runs
@@ -169,13 +207,16 @@ class ServingInventory final {
   std::atomic<uint64_t> swap_count_{0};
   std::atomic<uint64_t> active_seal_sequence_{0};
   std::atomic<uint64_t> published_at_micros_{0};
-#if defined(POL_SERVING_SNAPSHOT_ATOMIC)
-  std::atomic<std::shared_ptr<const InventorySnapshot>> snapshot_;
-#else
+  obs::Counter* const reader_acquisitions_;
   mutable Mutex snapshot_mutex_;
   std::shared_ptr<const InventorySnapshot> snapshot_
       POL_GUARDED_BY(snapshot_mutex_);
-#endif
+  // The swap generation of snapshot_: drawn from one process-wide
+  // sequence, so equal generations name the same store and the same
+  // snapshot. Written (under snapshot_mutex_) only by Swap, read by
+  // every pinned read; on its own cache line so the writes beside it
+  // never invalidate the readers' copy.
+  alignas(obs::kCacheLineBytes) std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace pol::core

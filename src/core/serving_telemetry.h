@@ -28,8 +28,9 @@
 //    "serving_slo" report block).
 //
 // Threading: BeginQuery / RecordQuery / RecordRejected are safe from
-// any number of query threads (windowed recording is lock-free; the
-// query log takes its own short lock off the measured scan path).
+// any number of query threads. Windowed recording is lock-free and
+// striped per thread; a notable query-log row takes its stripe's ring
+// lock, off the measured scan path (obs/window.h, obs/querylog.h).
 // UpdateWindowGauges / EvaluateSlos follow obs::SloTracker's contract:
 // one evaluator at a time — the exporter thread, or a test.
 //

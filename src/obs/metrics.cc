@@ -59,13 +59,14 @@ MetricsSnapshot Registry::Snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     MetricsSnapshot::HistogramEntry entry;
     entry.name = name;
-    entry.count = histogram->count();
     entry.overflow_count = histogram->overflow_count();
     entry.sum_seconds = histogram->sum_seconds();
     entry.min_seconds = histogram->min_seconds();
     entry.max_seconds = histogram->max_seconds();
+    // One read of each bucket, so the count is exactly their sum.
     for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
       entry.buckets[i] = histogram->bucket(i);
+      entry.count += entry.buckets[i];
     }
     snapshot.histograms.push_back(std::move(entry));
   }

@@ -18,6 +18,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/json.h"
+#include "obs/stripe.h"
 
 // The process-wide metrics registry: monotonic counters, gauges and
 // fixed-bucket latency histograms, named hierarchically with dots
@@ -27,22 +28,13 @@
 // returned handle is a stable pointer and every recording operation on
 // it is a relaxed atomic — the fast path holds no lock and allocates
 // nothing, so instrumentation is safe from any thread including pool
-// workers in the hottest stage loops.
+// workers in the hottest stage loops. Hot paths resolve their handles
+// once (at construction) and never look a name up per call.
 
 namespace pol::obs {
 
-// A monotonically increasing event count.
-class Counter {
- public:
-  void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
+// Counter, the monotonically increasing event count, is striped per
+// thread and lives in obs/stripe.h.
 
 // A point-in-time level (queue depth, in-flight chunks).
 class Gauge {
@@ -62,8 +54,9 @@ class Gauge {
 // sub-microsecond samples; bucket i (i >= 1) holds samples in
 // [2^(i-1), 2^i) microseconds; the last bucket absorbs everything
 // longer (~2^30 us ≈ 18 minutes and up). Recording is two relaxed
-// adds plus two bounded CAS loops for min/max — no locks, no floats in
-// shared state (durations accumulate as integer nanoseconds).
+// adds (bucket and sum; the count is the bucket sum) plus two bounded
+// CAS loops for min/max — no locks, no floats in shared state
+// (durations accumulate as integer nanoseconds).
 //
 // Samples past the last finite bucket bound (>= 2^31 us, where the
 // saturating BucketIndex starts folding everything into the top
@@ -83,13 +76,20 @@ class Histogram {
     if ((micros >> (kBucketCount - 1)) != 0) {  // >= 2^31 us.
       overflow_count_.fetch_add(1, std::memory_order_relaxed);
     }
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
     UpdateMin(nanos);
     UpdateMax(nanos);
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  // The bucket sum: a record adds to exactly one bucket, so no
+  // separate count is kept on the record path.
+  uint64_t count() const {
+    uint64_t total = 0;
+    for (const auto& bucket : buckets_) {
+      total += bucket.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
   double sum_seconds() const {
     return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) *
            1e-9;
@@ -125,7 +125,6 @@ class Histogram {
 
   void Reset() {
     for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
     overflow_count_.store(0, std::memory_order_relaxed);
     sum_nanos_.store(0, std::memory_order_relaxed);
     min_nanos_.store(kNoSample, std::memory_order_relaxed);
@@ -149,7 +148,6 @@ class Histogram {
   }
 
   std::array<std::atomic<uint64_t>, kBucketCount> buckets_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> overflow_count_{0};
   std::atomic<uint64_t> sum_nanos_{0};
   std::atomic<uint64_t> min_nanos_{kNoSample};

@@ -40,8 +40,13 @@ QueryLog::QueryLog(QueryLogOptions options)
         if (options.sampled_capacity == 0) options.sampled_capacity = 1;
         return options;
       }()) {
+  // Reserved up front so recording never allocates: any one stripe may
+  // end up holding all of the newest notable_capacity events.
+  for (NotableRing& ring : notable_) {
+    MutexLock lock(ring.mutex);
+    ring.events.reserve(options_.notable_capacity);
+  }
   MutexLock lock(mutex_);
-  notable_.reserve(options_.notable_capacity);
   sampled_.reserve(options_.sampled_capacity);
 }
 
@@ -58,23 +63,24 @@ uint64_t QueryLog::Mix(uint64_t value) {
 
 void QueryLog::Record(const QueryEvent& event) {
   if (event.ok) {
-    ok_.fetch_add(1, std::memory_order_relaxed);
+    ok_.Increment();
   } else {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_.Increment();
   }
   const bool slow = event.scan_seconds >= options_.slow_seconds;
-  if (slow) slow_.fetch_add(1, std::memory_order_relaxed);
+  if (slow) slow_.Increment();
 
   if (!event.ok || slow) {
-    // Notable ring: overwrite the oldest once full, so the freshest
-    // incidents always survive.
-    MutexLock lock(mutex_);
-    if (notable_.size() < options_.notable_capacity) {
-      notable_.push_back(event);
+    // This thread's notable ring: overwrite the oldest once full, so the
+    // freshest incidents always survive.
+    NotableRing& ring = notable_[ThisThreadStripe()];
+    MutexLock lock(ring.mutex);
+    if (ring.events.size() < options_.notable_capacity) {
+      ring.events.push_back(event);
     } else {
-      notable_[notable_next_] = event;
+      ring.events[ring.next] = event;
     }
-    notable_next_ = (notable_next_ + 1) % options_.notable_capacity;
+    ring.next = (ring.next + 1) % options_.notable_capacity;
     return;
   }
 
@@ -105,9 +111,9 @@ void QueryLog::Record(const QueryEvent& event) {
 
 QueryLog::Totals QueryLog::totals() const {
   Totals totals;
-  totals.ok = ok_.load(std::memory_order_relaxed);
-  totals.errors = errors_.load(std::memory_order_relaxed);
-  totals.slow = slow_.load(std::memory_order_relaxed);
+  totals.ok = ok_.value();
+  totals.errors = errors_.value();
+  totals.slow = slow_.value();
   totals.events = totals.ok + totals.errors;
   return totals;
 }
@@ -125,11 +131,16 @@ void SortById(std::vector<QueryEvent>* events) {
 
 std::vector<QueryEvent> QueryLog::NotableEvents() const {
   std::vector<QueryEvent> out;
-  {
-    MutexLock lock(mutex_);
-    out = notable_;
+  for (const NotableRing& ring : notable_) {
+    MutexLock lock(ring.mutex);
+    out.insert(out.end(), ring.events.begin(), ring.events.end());
   }
   SortById(&out);
+  const size_t capacity = options_.notable_capacity;
+  if (out.size() > capacity) {
+    out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(
+                                             out.size() - capacity));
+  }
   return out;
 }
 
@@ -144,13 +155,9 @@ std::vector<QueryEvent> QueryLog::SampledEvents() const {
 }
 
 std::string QueryLog::ExportJsonl() const {
-  std::vector<QueryEvent> all;
-  {
-    MutexLock lock(mutex_);
-    all.reserve(notable_.size() + sampled_.size());
-    all.insert(all.end(), notable_.begin(), notable_.end());
-    all.insert(all.end(), sampled_.begin(), sampled_.end());
-  }
+  std::vector<QueryEvent> all = NotableEvents();
+  const std::vector<QueryEvent> sampled = SampledEvents();
+  all.insert(all.end(), sampled.begin(), sampled.end());
   SortById(&all);
   std::string out;
   for (const QueryEvent& event : all) {

@@ -1,6 +1,7 @@
 #ifndef POL_OBS_QUERYLOG_H_
 #define POL_OBS_QUERYLOG_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/json.h"
+#include "obs/stripe.h"
 
 // The slow-query log of the serving path (DESIGN.md §3.8): one wide
 // event per admitted query — id, class, operation, status, queue wait,
@@ -30,6 +32,14 @@
 // copies and recording must not allocate. Totals are always-on relaxed
 // atomics so counter reconciliation (admitted == logged OK + logged
 // errors) holds exactly even when rings wrap.
+//
+// Recording threads share as little as possible (obs/stripe.h): the
+// ok/errors/slow totals are striped per thread, and the notable ring is
+// one ring per stripe, each under its own mutex that only threads
+// sharing the stripe (and readers) ever contend. Two shared words stay:
+// the id counter, because ids are process-unique and increasing, and
+// the reservoir's seen-counter (healthy events only), because the
+// sample must stay uniform over all of them.
 
 namespace pol::obs {
 
@@ -83,7 +93,8 @@ class QueryLog {
   };
   Totals totals() const;
 
-  // Retained events, sorted by id (notable and sampled ring contents).
+  // Retained events, sorted by id. NotableEvents merges the per-stripe
+  // rings and keeps the newest notable_capacity of them.
   std::vector<QueryEvent> NotableEvents() const;
   std::vector<QueryEvent> SampledEvents() const;
 
@@ -100,17 +111,23 @@ class QueryLog {
   // library code and obs sits below common/rng).
   static uint64_t Mix(uint64_t value);
 
-  const QueryLogOptions options_;
-  std::atomic<uint64_t> next_id_{0};
-  // events == ok + errors by construction; totals() derives it.
-  std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> slow_{0};
-  std::atomic<uint64_t> sampled_seen_{0};
+  // One stripe's notable ring: overwrites its oldest once full.
+  struct alignas(kCacheLineBytes) NotableRing {
+    mutable Mutex mutex;
+    std::vector<QueryEvent> events POL_GUARDED_BY(mutex);
+    size_t next POL_GUARDED_BY(mutex) = 0;
+  };
 
+  const QueryLogOptions options_;
+  alignas(kCacheLineBytes) std::atomic<uint64_t> next_id_{0};
+  alignas(kCacheLineBytes) std::atomic<uint64_t> sampled_seen_{0};
+  // events == ok + errors by construction; totals() derives it.
+  Counter ok_;
+  Counter errors_;
+  Counter slow_;
+
+  std::array<NotableRing, kStripeCount> notable_;
   mutable Mutex mutex_;
-  std::vector<QueryEvent> notable_ POL_GUARDED_BY(mutex_);
-  size_t notable_next_ POL_GUARDED_BY(mutex_) = 0;
   std::vector<QueryEvent> sampled_ POL_GUARDED_BY(mutex_);
 };
 

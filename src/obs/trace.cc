@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,22 +17,48 @@ TraceRecorder& TraceRecorder::Global() {
   return *kGlobal;
 }
 
+struct TraceRecorder::ThreadHandle {
+  ThreadBuffer* buffer = nullptr;
+  ~ThreadHandle() {
+    if (buffer != nullptr) Global().ReleaseBuffer(buffer);
+  }
+};
+
 TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
   // One buffer per (recorder, thread). The thread_local caches the
   // global recorder's buffer only — other recorder instances (tests)
   // take the slow path every time, which is fine off the hot path.
-  thread_local ThreadBuffer* global_buffer = nullptr;
+  thread_local ThreadHandle global_handle;
   const bool is_global = this == &Global();
-  if (is_global && global_buffer != nullptr) return global_buffer;
+  if (is_global && global_handle.buffer != nullptr) {
+    return global_handle.buffer;
+  }
   auto buffer = std::make_shared<ThreadBuffer>();
   {
     MutexLock lock(mutex_);
     buffer->tid = next_tid_++;
     buffers_.push_back(buffer);
   }
-  // The shared_ptr in buffers_ keeps it alive past thread exit.
-  if (is_global) global_buffer = buffer.get();
+  // buffers_ owns it; the handle hands it back when the thread exits.
+  if (is_global) global_handle.buffer = buffer.get();
   return buffer.get();
+}
+
+void TraceRecorder::ReleaseBuffer(ThreadBuffer* buffer) {
+  MutexLock lock(mutex_);
+  const auto it = std::find_if(
+      buffers_.begin(), buffers_.end(),
+      [buffer](const std::shared_ptr<ThreadBuffer>& held) {
+        return held.get() == buffer;
+      });
+  if (it == buffers_.end()) return;
+  {
+    MutexLock buffer_lock(buffer->mutex);
+    retired_.insert(retired_.end(),
+                    std::make_move_iterator(buffer->events.begin()),
+                    std::make_move_iterator(buffer->events.end()));
+  }
+  buffers_.erase(it);
 }
 
 void TraceRecorder::Record(std::string name, uint64_t ts_micros,
@@ -48,16 +75,23 @@ void TraceRecorder::Record(std::string name, uint64_t ts_micros,
 
 void TraceRecorder::Clear() {
   MutexLock lock(mutex_);
+  std::vector<TraceEvent>().swap(retired_);
   for (const std::shared_ptr<ThreadBuffer>& buffer : buffers_) {
     MutexLock buffer_lock(buffer->mutex);
     buffer->events.clear();
   }
 }
 
+size_t TraceRecorder::buffer_count() const {
+  MutexLock lock(mutex_);
+  return buffers_.size();
+}
+
 std::vector<TraceEvent> TraceRecorder::Events() const {
   std::vector<TraceEvent> events;
   {
     MutexLock lock(mutex_);
+    events = retired_;
     for (const std::shared_ptr<ThreadBuffer>& buffer : buffers_) {
       MutexLock buffer_lock(buffer->mutex);
       events.insert(events.end(), buffer->events.begin(),
@@ -75,8 +109,8 @@ std::vector<TraceEvent> TraceRecorder::Events() const {
 }
 
 size_t TraceRecorder::event_count() const {
-  size_t count = 0;
   MutexLock lock(mutex_);
+  size_t count = retired_.size();
   for (const std::shared_ptr<ThreadBuffer>& buffer : buffers_) {
     MutexLock buffer_lock(buffer->mutex);
     count += buffer->events.size();

@@ -58,13 +58,20 @@ class TraceRecorder {
   // Appends one complete event to the calling thread's buffer.
   void Record(std::string name, uint64_t ts_micros, uint64_t dur_micros);
 
-  // Drops every recorded event (buffers and thread ids survive).
+  // Drops every recorded event, those of exited threads included
+  // (live threads keep their buffers and thread ids).
   void Clear();
 
   // All events recorded so far, merged across threads in ascending
   // begin-timestamp order.
   std::vector<TraceEvent> Events() const;
   size_t event_count() const;
+
+  // Per-thread buffers held. A thread that records into the global
+  // recorder holds one until it exits; its events then move into the
+  // recorder and stay until Clear(), so the count is bounded by the
+  // live recording threads, not by every thread that ever traced.
+  size_t buffer_count() const;
 
   // Chrome trace-event JSON: {"traceEvents": [{"name", "cat", "ph":
   // "X", "ts", "dur", "pid", "tid"}, ...], "displayTimeUnit": "ms"}.
@@ -79,11 +86,19 @@ class TraceRecorder {
                        // mutex), read lock-free by the owning thread.
   };
 
+  // Holds the calling thread's global-recorder buffer; releases it at
+  // thread exit.
+  struct ThreadHandle;
+
   ThreadBuffer* BufferForThisThread();
+  // Moves an exiting thread's events into retired_ and drops its buffer.
+  void ReleaseBuffer(ThreadBuffer* buffer);
 
   std::atomic<bool> enabled_{false};
   mutable Mutex mutex_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_ POL_GUARDED_BY(mutex_);
+  // Events of threads that have exited, kept until Clear().
+  std::vector<TraceEvent> retired_ POL_GUARDED_BY(mutex_);
   uint32_t next_tid_ POL_GUARDED_BY(mutex_) = 1;
 };
 

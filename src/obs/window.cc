@@ -1,6 +1,7 @@
 #include "obs/window.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -39,7 +40,7 @@ WindowedHistogram::Slot* WindowedHistogram::AdvanceTo(uint64_t epoch) {
       // This call rotated the window in; clear the previous tenant's
       // samples before reuse. Racing recorders that already saw the new
       // epoch may lose a sample to this reset — bounded, documented.
-      slot.hist.Reset();
+      for (Stripe& stripe : slot.stripes) stripe.hist.Reset();
       break;
     }
   }
@@ -48,7 +49,9 @@ WindowedHistogram::Slot* WindowedHistogram::AdvanceTo(uint64_t epoch) {
 
 void WindowedHistogram::RecordAt(double now_seconds, double value_seconds) {
   Slot* slot = AdvanceTo(EpochOf(now_seconds));
-  if (slot != nullptr) slot->hist.Record(value_seconds);
+  if (slot != nullptr) {
+    slot->stripes[ThisThreadStripe()].hist.Record(value_seconds);
+  }
 }
 
 WindowedSnapshot WindowedHistogram::TrailingSnapshotAt(double now_seconds,
@@ -62,17 +65,26 @@ WindowedSnapshot WindowedHistogram::TrailingSnapshotAt(double now_seconds,
   for (const Slot& slot : slots_) {
     const uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
     if (epoch == kNeverUsed || epoch > current || epoch < oldest) continue;
-    const uint64_t slot_count = slot.hist.count();
-    if (slot_count == 0) continue;
-    if (out.count == 0 || slot.hist.min_seconds() < out.min_seconds) {
-      out.min_seconds = slot.hist.min_seconds();
-    }
-    out.max_seconds = std::max(out.max_seconds, slot.hist.max_seconds());
-    out.count += slot_count;
-    out.overflow_count += slot.hist.overflow_count();
-    out.sum_seconds += slot.hist.sum_seconds();
-    for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
-      out.buckets[i] += slot.hist.bucket(i);
+    for (const Stripe& stripe : slot.stripes) {
+      const Histogram& hist = stripe.hist;
+      // One read of each bucket, so the count is exactly their sum.
+      std::array<uint64_t, Histogram::kBucketCount> buckets;
+      uint64_t stripe_count = 0;
+      for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
+        buckets[i] = hist.bucket(i);
+        stripe_count += buckets[i];
+      }
+      if (stripe_count == 0) continue;
+      if (out.count == 0 || hist.min_seconds() < out.min_seconds) {
+        out.min_seconds = hist.min_seconds();
+      }
+      out.max_seconds = std::max(out.max_seconds, hist.max_seconds());
+      out.count += stripe_count;
+      out.overflow_count += hist.overflow_count();
+      out.sum_seconds += hist.sum_seconds();
+      for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
+        out.buckets[i] += buckets[i];
+      }
     }
   }
   return out;
@@ -153,11 +165,11 @@ void WindowedRate::IncrementAt(double now_seconds, uint64_t delta) {
     if (seen != kNeverUsed && seen > epoch) return;  // Stale straggler.
     if (slot.epoch.compare_exchange_weak(seen, epoch,
                                          std::memory_order_acq_rel)) {
-      slot.count.store(0, std::memory_order_relaxed);
+      slot.count.Reset();
       break;
     }
   }
-  slot.count.fetch_add(delta, std::memory_order_relaxed);
+  slot.count.Increment(delta);
 }
 
 uint64_t WindowedRate::TotalAt(double now_seconds, size_t windows) const {
@@ -169,7 +181,7 @@ uint64_t WindowedRate::TotalAt(double now_seconds, size_t windows) const {
   for (const Slot& slot : slots_) {
     const uint64_t epoch = slot.epoch.load(std::memory_order_acquire);
     if (epoch == kNeverUsed || epoch > current || epoch < oldest) continue;
-    total += slot.count.load(std::memory_order_relaxed);
+    total += slot.count.value();
   }
   return total;
 }

@@ -9,6 +9,7 @@
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "obs/stripe.h"
 
 // Time-windowed aggregation for the serving path (DESIGN.md §3.8): the
 // batch-shaped Registry accumulates since process start, but a serving
@@ -21,10 +22,14 @@
 //
 // Concurrency: recording is lock-free — one relaxed epoch load on the
 // fast path, a CAS only on the first sample of a new window (the CAS
-// winner resets the slot before reuse). Two benign, bounded sample
-// losses exist at rotation boundaries and are accepted by design: a
-// straggler holding a now-recycled window drops its sample, and samples
-// racing the winner's reset may be wiped. Both touch at most one
+// winner resets the slot before reuse). Each slot is striped per thread
+// (obs/stripe.h): a record writes only the calling thread's stripe, one
+// cache-line-aligned histogram or count, and reads merge every stripe,
+// so concurrent recorders share no written cache line except at a
+// rotation. Two benign, bounded sample losses exist at rotation
+// boundaries and are accepted by design: a straggler holding a
+// now-recycled window drops its sample, and samples racing the
+// winner's reset may be wiped. Both touch at most one
 // window edge; trailing aggregates over >= 2 windows are unaffected in
 // practice and no torn values are ever produced (every shared word is
 // an atomic). Merged reads are relaxed like MetricsSnapshot: not a
@@ -88,9 +93,13 @@ class WindowedHistogram {
   size_t window_count() const { return slots_.size(); }
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> epoch{kNeverUsed};
+  struct alignas(kCacheLineBytes) Stripe {
     Histogram hist;
+  };
+  struct Slot {
+    // Its own cache line: every record reads it, only rotation writes.
+    alignas(kCacheLineBytes) std::atomic<uint64_t> epoch{kNeverUsed};
+    std::array<Stripe, kStripeCount> stripes;
   };
 
   static constexpr uint64_t kNeverUsed = ~uint64_t{0};
@@ -138,8 +147,8 @@ class WindowedRate {
 
  private:
   struct Slot {
-    std::atomic<uint64_t> epoch{kNeverUsed};
-    std::atomic<uint64_t> count{0};
+    alignas(kCacheLineBytes) std::atomic<uint64_t> epoch{kNeverUsed};
+    Counter count;
   };
 
   static constexpr uint64_t kNeverUsed = ~uint64_t{0};

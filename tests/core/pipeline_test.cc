@@ -6,6 +6,7 @@
 
 #include "geo/geodesic.h"
 #include "hexgrid/hexgrid.h"
+#include "obs/trace.h"
 #include "sim/fleet.h"
 
 namespace pol::core {
@@ -164,6 +165,48 @@ TEST_F(PipelineTest, ResolutionSevenProducesMoreCells) {
             result_->Compression().compression);
   EXPECT_LT(res7.Compression().utilization,
             result_->Compression().utilization);
+}
+
+// Every traced run builds a thread pool whose workers record spans into
+// the global recorder. A worker's buffer goes when the worker exits, so
+// many traced runs hold no more buffers than the threads still alive,
+// while every run's events stay readable until Clear().
+TEST(PipelineTraceTest, TracedRunsReleaseExitedThreadsBuffers) {
+  constexpr int kRuns = 40;
+  constexpr int kThreads = 2;
+  sim::FleetConfig fleet_config;
+  fleet_config.seed = 7;
+  fleet_config.commercial_vessels = 3;
+  fleet_config.noncommercial_vessels = 1;
+  fleet_config.start_time = 1640995200;
+  fleet_config.end_time = fleet_config.start_time + 6 * kSecondsPerDay;
+  fleet_config.coastal_interval_s = 600;
+  fleet_config.ocean_interval_s = 1800;
+  const sim::SimulationOutput archive =
+      sim::FleetSimulator(fleet_config).Run();
+  PipelineConfig config;
+  config.partitions = 2;
+  config.threads = kThreads;
+  config.resolution = 6;
+
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Start();
+  size_t events = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    const PipelineResult result =
+        RunPipeline(archive.reports, archive.fleet, config);
+    ASSERT_TRUE(result.inventory != nullptr);
+    // The pool's workers have exited, so at most this thread's buffer
+    // (and those of threads still running) remains.
+    EXPECT_LE(recorder.buffer_count(), size_t{1} + kThreads) << "run " << run;
+    // The exited workers' events were kept, on top of every earlier run's.
+    EXPECT_GT(recorder.event_count(), events) << "run " << run;
+    events = recorder.event_count();
+  }
+  recorder.Stop();
+  recorder.Clear();
+  EXPECT_EQ(recorder.event_count(), 0u);
 }
 
 }  // namespace
