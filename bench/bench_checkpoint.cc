@@ -102,7 +102,7 @@ int Run(int argc, char** argv) {
         const Result<core::LoadedCheckpoint> state = manager.LoadLatest();
         if (state.ok()) {
           core::InventoryBuilder builder(extractor_config);
-          (void)builder.RestoreState(state->builder_state);
+          (void)builder.RestoreState(state->builder_state, state->folding);
         }
       }));
     }

@@ -1,10 +1,11 @@
 // Snapshot-store cold start: time-to-first-query from durable bytes.
-// One sealed inventory is persisted two ways, then restored both ways:
+// One sealed inventory is published as a store generation, then
+// restored two ways:
 //
-//   load+seal - Inventory::LoadFromFile (parse + rebuild the hash map)
-//               followed by Seal() (sort keys, encode and validate
-//               the POLSNAP1 image) — the only cold-start path before
-//               the store subsystem existed
+//   load+seal - read the generation file, Inventory::DeserializeFrom it
+//               (validate, decode every summary into the hash map),
+//               then Seal() (sort keys, encode and validate a new
+//               POLSNAP1 image) — cold start without serving in place
 //   mmap      - core::OpenLatestSnapshot over a SnapshotStore: map the
 //               newest POLSNAP1 generation, CRC-validate, serve in
 //               place; summaries decode lazily on first access
@@ -62,6 +63,7 @@
 #include "core/inventory_snapshot.h"
 #include "core/snapshot_codec.h"
 #include "hexgrid/hexgrid.h"
+#include "store/atomic_file.h"
 #include "store/snapshot_store.h"
 
 namespace pol {
@@ -145,17 +147,11 @@ int Run(int argc, char** argv) {
           .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string legacy_path = dir + "/inventory.bin";
 
   // The serving benches' corridor, scaled up: the cost being amortized
   // is per-summary parse + sort work, so size matters.
   const core::Inventory inventory =
       bench::CorridorInventory(kGenerations, kCellsPerGeneration);
-  const Status saved = inventory.SaveToFile(legacy_path);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "FAIL: SaveToFile: %s\n", saved.message().c_str());
-    return 1;
-  }
   store::SnapshotStoreOptions options;
   options.directory = dir + "/snapshots";
   store::SnapshotStore snapshot_store(options);
@@ -167,14 +163,20 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: WriteTo: %s\n", published.message().c_str());
     return 1;
   }
+  const std::string generation_path =
+      snapshot_store.GenerationPath(generation);
 
-  const uint64_t store_bytes =
-      std::filesystem::file_size(snapshot_store.GenerationPath(generation));
-  std::printf("inventory: %s summaries, legacy file %s, POLSNAP1 %s\n\n",
+  const uint64_t store_bytes = std::filesystem::file_size(generation_path);
+  std::printf("inventory: %s summaries, POLSNAP1 generation %s\n\n",
               bench::FormatCount(inventory.size()).c_str(),
-              bench::FormatBytes(std::filesystem::file_size(legacy_path))
-                  .c_str(),
               bench::FormatBytes(store_bytes).c_str());
+
+  // Reads and decodes the generation into a build-side inventory.
+  const auto load = [&generation_path]() -> Result<core::Inventory> {
+    std::string bytes;
+    POL_RETURN_IF_ERROR(store::ReadFileToString(generation_path, &bytes));
+    return core::Inventory::DeserializeFrom(bytes);
+  };
 
   // A restore that errors or answers differently from the sealed
   // snapshot fails the bench.
@@ -185,7 +187,7 @@ int Run(int argc, char** argv) {
     return probe;
   };
   auto load_seal_round = [&]() -> uint64_t {
-    Result<core::Inventory> loaded = core::Inventory::LoadFromFile(legacy_path);
+    Result<core::Inventory> loaded = load();
     return served(loaded.ok() ? Probe(*loaded->Seal()) : 0);
   };
   auto mmap_round = [&]() -> uint64_t {
@@ -198,8 +200,7 @@ int Run(int argc, char** argv) {
   // what was sealed before any round is scored.
   {
     const uint64_t full_expected = FullChecksum(*sealed);
-    const Result<core::Inventory> loaded =
-        core::Inventory::LoadFromFile(legacy_path);
+    const Result<core::Inventory> loaded = load();
     const Result<std::shared_ptr<const core::InventorySnapshot>> mapped =
         core::OpenLatestSnapshot(snapshot_store);
     if (!loaded.ok() || !mapped.ok() ||
@@ -226,7 +227,7 @@ int Run(int argc, char** argv) {
   const double load_seal_s = result.min_s[kLoadSeal];
   const double mmap_s = result.min_s[kMmap];
   const double speedup = load_seal_s / mmap_s;
-  std::printf("load+seal (parse + rebuild + sort): %.4f s (min of %d x %d)\n",
+  std::printf("load+seal (read + decode + seal):   %.4f s (min of %d x %d)\n",
               load_seal_s, kRounds, result.blocks);
   std::printf("mmap      (map + CRC + lazy serve): %.4f s (min of %d x %d)\n",
               mmap_s, kRounds, result.blocks);

@@ -5,12 +5,14 @@
 //   $ ./quickstart --trace-out trace.json --report-out report.json
 //
 // Walks the whole public API in ~40 lines of logic: simulate traffic,
-// run the pipeline, query cells, persist and reload the inventory.
+// run the pipeline, query cells, publish the inventory to a snapshot
+// store and reload it.
 // `--trace-out` writes a Chrome trace of the run (load it in
 // chrome://tracing or https://ui.perfetto.dev); `--report-out` writes
 // the machine-readable run report (`polinv report <file>` pretty-prints
 // it).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -18,8 +20,10 @@
 
 #include "core/inventory_snapshot.h"
 #include "core/pipeline.h"
+#include "core/snapshot_codec.h"
 #include "hexgrid/hexgrid.h"
 #include "sim/fleet.h"
+#include "store/snapshot_store.h"
 
 int main(int argc, char** argv) {
   using namespace pol;
@@ -125,18 +129,27 @@ int main(int argc, char** argv) {
     std::printf("no traffic recorded off Singapore in this sample\n");
   }
 
-  // 4. Persist and reload.
-  const std::string path = "/tmp/quickstart.polinv";
-  if (const Status saved = inventory.SaveToFile(path); !saved.ok()) {
+  // 4. Persist as the next generation of a snapshot store, and reload
+  // it the way a serving process cold-starts: map the newest readable
+  // generation and serve it in place.
+  const std::string directory = "/tmp/quickstart-store";
+  store::SnapshotStore store(
+      store::SnapshotStoreOptions{directory, /*keep=*/2});
+  uint64_t generation = 0;
+  if (const Status saved = snapshot->WriteTo(&store, &generation);
+      !saved.ok()) {
     std::printf("save failed: %s\n", saved.ToString().c_str());
     return 1;
   }
-  const Result<core::Inventory> reloaded = core::Inventory::LoadFromFile(path);
+  const Result<std::shared_ptr<const core::InventorySnapshot>> reloaded =
+      core::OpenLatestSnapshot(store);
   if (!reloaded.ok()) {
     std::printf("load failed: %s\n", reloaded.status().ToString().c_str());
     return 1;
   }
-  std::printf("\nsaved and reloaded inventory: %zu summaries, file %s\n",
-              reloaded->size(), path.c_str());
+  std::printf("\nsaved and reloaded inventory: %zu summaries, %s "
+              "(inspect: polinv stats %s)\n",
+              (*reloaded)->size(), store.GenerationPath(generation).c_str(),
+              directory.c_str());
   return 0;
 }

@@ -56,6 +56,10 @@ std::string EncodeMeta(const CheckpointState& state) {
     PutLengthPrefixed(&out, entry.message);
   }
   for (const uint64_t* field : StatFields(state)) PutVarint64(&out, *field);
+  PutVarint64(&out, state.folding.chunks);
+  PutVarint64(&out, state.folding.records);
+  PutVarint64(&out, state.folding.peak_partition);
+  PutDouble(&out, state.folding.wall_seconds);
   return out;
 }
 
@@ -110,6 +114,14 @@ Result<LoadedCheckpoint> DecodeCheckpoint(
   }
   for (uint64_t* field : StatFields(state)) {
     POL_RETURN_IF_ERROR(ReadVarint(&meta, field, "stage stats"));
+  }
+  FoldAccounting& folding = state.folding;
+  POL_RETURN_IF_ERROR(ReadVarint(&meta, &folding.chunks, "fold chunks"));
+  POL_RETURN_IF_ERROR(ReadVarint(&meta, &folding.records, "fold records"));
+  POL_RETURN_IF_ERROR(
+      ReadVarint(&meta, &folding.peak_partition, "fold peak partition"));
+  if (!GetDouble(&meta, &folding.wall_seconds).ok()) {
+    return BadMeta("truncated at fold wall seconds");
   }
   if (!meta.empty()) return BadMeta("trailing bytes");
   POL_ASSIGN_OR_RETURN(state.builder_state,

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/cleaning.h"
 #include "core/enrich.h"
+#include "core/inventory_builder.h"
 #include "core/trips.h"
 #include "store/mapped_file.h"
 #include "store/snapshot_store.h"
@@ -27,7 +28,7 @@
 // store::SnapshotStore rooted at the checkpoint directory: a POLSNAP1
 // container (store/snapshot_format.h) holding two sections.
 //
-//   id 0x80  checkpoint meta   varint version (=2)
+//   id 0x80  checkpoint meta   varint version (=3)
 //                              varint cursor        chunks accounted
 //                              varint total_chunks  of the run
 //                              varint quarantine count
@@ -39,7 +40,13 @@
 //                                field a varint in declaration order:
 //                                CleaningStats (5), EnrichmentStats
 //                                (4), TripStats (4)
-//   id 0x81  builder state     InventoryBuilder::SerializeState bytes
+//                              fold accounting (FoldAccounting): varint
+//                                chunks, varint records, varint peak
+//                                partition, double wall seconds
+//   id 0x81  builder state     the canonical POLSNAP1 image of the
+//                              builder's summaries
+//                              (InventoryBuilder::SerializeState, i.e.
+//                              Inventory::SerializeTo)
 //
 // The ids are disjoint from the inventory schema's (core/snapshot_codec.h),
 // so opening a checkpoint directory as an inventory store, or the
@@ -51,7 +58,8 @@
 // past the chunk count, more quarantined chunks than accounted ones,
 // unordered or out-of-range ledger entries) and any other meta version
 // as kDataLoss, so such a generation is fallen back past too: a
-// directory holding only version-1 generations starts a fresh run. A
+// directory holding only version-1 or version-2 generations starts a
+// fresh run. A
 // loaded checkpoint keeps its generation mapped and hands out the
 // builder section in place, so restoring reads the (tens of MB) builder
 // state without copying it first. Checkpoint I/O carries the
@@ -63,7 +71,7 @@ namespace pol::core {
 // Section ids of the checkpoint schema inside a POLSNAP1 generation.
 inline constexpr uint32_t kCheckpointSectionMeta = 0x80;
 inline constexpr uint32_t kCheckpointSectionBuilderState = 0x81;
-inline constexpr uint64_t kCheckpointVersion = 2;
+inline constexpr uint64_t kCheckpointVersion = 3;
 
 struct CheckpointConfig {
   // Snapshot directory; empty disables checkpointing. Created on the
@@ -98,11 +106,14 @@ struct CheckpointMeta {
   CleaningStats cleaning;
   EnrichmentStats enrichment;
   TripStats trips;
+  // The builder's accounting at the cursor (InventoryBuilder::RestoreState
+  // takes it beside the builder image).
+  FoldAccounting folding;
 };
 
 // A snapshot to write.
 struct CheckpointState : CheckpointMeta {
-  std::string builder_state;  // InventoryBuilder::SerializeState bytes.
+  std::string builder_state;  // InventoryBuilder::SerializeState image.
 };
 
 // A loaded snapshot. `builder_state` points into `file`, the

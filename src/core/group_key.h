@@ -49,13 +49,13 @@ GroupKey KeyCellRouteType(hex::CellIndex cell, sim::PortId origin,
                           sim::PortId destination,
                           ais::MarketSegment segment);
 
-// 16-byte canonical encoding (used by the serialized inventory format
-// and as the hash input).
+// 16-byte canonical encoding (used by the POLSNAP1 key sections and as
+// the hash input).
 uint64_t GroupKeyDimsPacked(const GroupKey& key);
 
 // Inverse of GroupKeyDimsPacked: reassembles the key from its cell and
-// packed dimensions. The POLINV01 body and the POLSNAP1 key sections
-// both store keys as (cell, dims) pairs in exactly this packing.
+// packed dimensions. The POLSNAP1 key sections store keys as (cell,
+// dims) pairs in exactly this packing.
 GroupKey GroupKeyFromPacked(uint64_t cell, uint64_t dims);
 
 // The packed (origin, destination, segment) route key: the span key of

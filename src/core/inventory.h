@@ -12,8 +12,8 @@
 
 // The global inventory — the paper's end product: a keyed store of
 // per-cell statistical summaries for all grouping sets, queryable by
-// location (and segment, and port pair), serializable to a checksummed
-// binary file.
+// location (and segment, and port pair), whose byte form is the
+// checksummed POLSNAP1 image it is served from.
 //
 // This is the *build side*: a mutable map that InventoryBuilder folds
 // chunk results into and MergeFrom folds daily batches into. It supplies
@@ -39,17 +39,6 @@ struct CompressionReport {
   double utilization = 0.0;    // cells / NumCells(resolution).
   uint64_t serialized_bytes = 0;
 };
-
-// Appends one (cell, packed dims, length-prefixed summary) record per
-// summary in canonical key order — cell, then packed dims — the body
-// of POLINV01 and of builder checkpoints.
-void SerializeSummaryRecords(const SummaryMap& summaries, std::string* out);
-
-// Decodes `count` records written by SerializeSummaryRecords from the
-// front of *input into *out, consuming them. A record whose key is
-// already in *out is Corruption: a repeated key has no single answer.
-Status DeserializeSummaryRecords(std::string_view* input, uint64_t count,
-                                 SummaryMap* out);
 
 class Inventory final : public InventoryQuery {
  public:
@@ -98,18 +87,22 @@ class Inventory final : public InventoryQuery {
   // serving.seal_seconds.
   std::shared_ptr<const InventorySnapshot> Seal() const;
 
-  // Checksummed binary serialization. Saving replaces `path` durably
-  // (store::WriteFileDurable: temp + fsync + rename), so a crash leaves
-  // the old file or the new one, never a torn one.
-  Status SaveToFile(const std::string& path) const;
-  static Result<Inventory> LoadFromFile(const std::string& path);
-
+  // The inventory's byte form is its canonical POLSNAP1 image: what
+  // Seal() writes, except that the meta's seal time and ordinal are 0,
+  // so equal inventories give equal bytes. Replaces *out with it.
   void SerializeTo(std::string* out) const;
+
+  // Validates an image (container framing and CRCs, then the payload
+  // checks a served snapshot runs) and decodes every summary into the
+  // map, reading `input` in place. kDataLoss on any damage, trailing
+  // bytes, or a key that appears twice.
   static Result<Inventory> DeserializeFrom(std::string_view input);
 
  private:
-  // MergeSeal merges the summaries of a delta it consumes in place.
+  // MergeSeal merges the summaries of a delta it consumes in place, and
+  // the builder splices its folds straight into the map.
   friend class InventorySnapshot;
+  friend class InventoryBuilder;
 
   int resolution_;
   SummaryMap summaries_;

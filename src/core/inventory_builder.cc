@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/varint.h"
 #include "hexgrid/hexgrid.h"
 #include "obs/clock.h"
 #include "obs/trace.h"
@@ -57,65 +56,37 @@ void InventoryBuilder::Fold(const flow::Dataset<PipelineRecord>& projected) {
   for (size_t p = 0; p < partitions; ++p) {
     peak_partition = std::max(
         peak_partition, projected.partition(static_cast<int>(p)).size());
-    SpliceSummaries(&summaries_, &locals[p]);
+    SpliceSummaries(&inventory_.summaries_, &locals[p]);
     SummaryMap().swap(locals[p]);  // Free before touching the next one.
   }
 
-  const uint64_t records_in = projected.Count();
-  records_ += records_in;
   ++metrics_.chunks;
-  metrics_.records_in += records_in;
-  metrics_.records_out = summaries_.size();
+  metrics_.records_in += projected.Count();
+  metrics_.records_out = inventory_.size();
   metrics_.peak_partition = std::max(metrics_.peak_partition, peak_partition);
   const double seconds = obs::NowSeconds() - start;
   metrics_.wall_seconds += seconds;
   flow::internal::RecordStageRegistryMetrics(metrics_.name, seconds);
 }
 
-void InventoryBuilder::SerializeState(std::string* out) const {
-  PutVarint64(out, static_cast<uint64_t>(config_.resolution));
-  PutVarint64(out, records_);
-  PutVarint64(out, metrics_.chunks);
-  PutVarint64(out, metrics_.records_in);
-  PutVarint64(out, metrics_.peak_partition);
-  PutDouble(out, metrics_.wall_seconds);
-  PutVarint64(out, summaries_.size());
-  // Canonical key order, shared with Inventory::SerializeTo, so two
-  // builders with equal state serialize to equal bytes.
-  SerializeSummaryRecords(summaries_, out);
+FoldAccounting InventoryBuilder::accounting() const {
+  return {metrics_.chunks, metrics_.records_in, metrics_.peak_partition,
+          metrics_.wall_seconds};
 }
 
-Status InventoryBuilder::RestoreState(std::string_view input) {
-  uint64_t resolution = 0;
-  uint64_t records = 0;
-  uint64_t chunks = 0;
-  uint64_t records_in = 0;
-  uint64_t peak_partition = 0;
-  double wall_seconds = 0.0;
-  uint64_t count = 0;
-  POL_RETURN_IF_ERROR(GetVarint64(&input, &resolution));
-  POL_RETURN_IF_ERROR(GetVarint64(&input, &records));
-  POL_RETURN_IF_ERROR(GetVarint64(&input, &chunks));
-  POL_RETURN_IF_ERROR(GetVarint64(&input, &records_in));
-  POL_RETURN_IF_ERROR(GetVarint64(&input, &peak_partition));
-  POL_RETURN_IF_ERROR(GetDouble(&input, &wall_seconds));
-  POL_RETURN_IF_ERROR(GetVarint64(&input, &count));
-  if (resolution != static_cast<uint64_t>(config_.resolution)) {
+Status InventoryBuilder::RestoreState(std::string_view image,
+                                      const FoldAccounting& accounting) {
+  POL_ASSIGN_OR_RETURN(Inventory restored, Inventory::DeserializeFrom(image));
+  if (restored.resolution() != config_.resolution) {
     return Status::FailedPrecondition(
         "checkpoint resolution does not match builder config");
   }
-  SummaryMap summaries;
-  POL_RETURN_IF_ERROR(DeserializeSummaryRecords(&input, count, &summaries));
-  if (!input.empty()) {
-    return Status::Corruption("trailing bytes in builder state");
-  }
-  summaries_ = std::move(summaries);
-  records_ = records;
-  metrics_.chunks = chunks;
-  metrics_.records_in = records_in;
-  metrics_.records_out = summaries_.size();
-  metrics_.peak_partition = static_cast<size_t>(peak_partition);
-  metrics_.wall_seconds = wall_seconds;
+  inventory_ = std::move(restored);
+  metrics_.chunks = accounting.chunks;
+  metrics_.records_in = accounting.records;
+  metrics_.records_out = inventory_.size();
+  metrics_.peak_partition = static_cast<size_t>(accounting.peak_partition);
+  metrics_.wall_seconds = accounting.wall_seconds;
   return Status::OK();
 }
 

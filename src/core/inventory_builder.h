@@ -23,15 +23,27 @@
 // as the chunks are a partition-ordered split of one global vessel
 // partitioning (SplitReportsByVessel + ChunkProcessor produce exactly
 // that). This is what makes chunked builds reproduce the single-shot
-// serialized inventory byte for byte, and lets new data batches fold
+// inventory image byte for byte, and lets new data batches fold
 // into an existing build without reprocessing the archive.
 
 namespace pol::core {
 
+// What a builder has folded, beside its summaries: the fold accounting
+// a checkpoint carries in its meta (core/checkpoint.h), so a resumed
+// run reports the extraction stage as an uninterrupted one does.
+struct FoldAccounting {
+  uint64_t chunks = 0;          // Fold calls.
+  uint64_t records = 0;         // Records folded.
+  uint64_t peak_partition = 0;  // Largest partition folded.
+  double wall_seconds = 0.0;    // Fold time, summed.
+
+  bool operator==(const FoldAccounting&) const = default;
+};
+
 class InventoryBuilder {
  public:
   explicit InventoryBuilder(const ExtractorConfig& config)
-      : config_(config) {
+      : config_(config), inventory_(config.resolution, SummaryMap()) {
     metrics_.name = "extraction";
   }
 
@@ -43,38 +55,40 @@ class InventoryBuilder {
   void Fold(const flow::Dataset<PipelineRecord>& projected);
 
   // Records aggregated so far across all folds.
-  uint64_t records_folded() const { return records_; }
+  uint64_t records_folded() const { return metrics_.records_in; }
 
   // Summaries built so far.
-  size_t size() const { return summaries_.size(); }
+  size_t size() const { return inventory_.size(); }
 
   // Per-stage metrics of the extraction stage (records in = folded
   // records, records out = summaries, wall time summed over folds).
   const flow::StageMetrics& metrics() const { return metrics_; }
 
-  // Serializes the in-progress build (summaries + fold accounting) so a
-  // checkpoint can resume it. Same canonical key order as
-  // Inventory::SerializeTo; framing (magic/CRC) is the caller's job —
-  // see core/checkpoint.h. Note: summary serialization flushes t-digest
-  // buffers, which mutates equivalent internal state of the live
-  // summaries; resumed and uninterrupted runs therefore only compare
-  // byte-identical when both use the same checkpoint schedule.
-  void SerializeState(std::string* out) const;
+  // What has been folded so far, for a checkpoint's meta.
+  FoldAccounting accounting() const;
 
-  // Restores a build serialized by SerializeState into this (fresh)
-  // builder. Fails with Corruption on malformed input and
-  // FailedPrecondition on a resolution mismatch with the config.
-  Status RestoreState(std::string_view input);
+  // Writes the in-progress build's summaries as their canonical
+  // POLSNAP1 image (Inventory::SerializeTo), so two builders with equal
+  // summaries write equal bytes; a checkpoint stores it beside
+  // accounting(). Note: summary serialization flushes t-digest buffers,
+  // which mutates equivalent internal state of the live summaries;
+  // resumed and uninterrupted runs therefore only compare
+  // byte-identical when both use the same checkpoint schedule.
+  void SerializeState(std::string* out) const { inventory_.SerializeTo(out); }
+
+  // Restores a build written by SerializeState, with its accounting,
+  // into this (fresh) builder. Fails with kDataLoss on a malformed
+  // image and FailedPrecondition on a resolution mismatch with the
+  // config; commits nothing on failure.
+  Status RestoreState(std::string_view image,
+                      const FoldAccounting& accounting);
 
   // Seals the build. The builder is consumed.
-  Inventory Finish() && {
-    return Inventory(config_.resolution, std::move(summaries_));
-  }
+  Inventory Finish() && { return std::move(inventory_); }
 
  private:
   ExtractorConfig config_;
-  SummaryMap summaries_;
-  uint64_t records_ = 0;
+  Inventory inventory_;
   flow::StageMetrics metrics_;
 };
 

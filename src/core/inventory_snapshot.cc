@@ -103,6 +103,17 @@ std::string_view SummaryBytes(const char* offsets, const char* blob,
   return std::string_view(blob + begin, static_cast<size_t>(end - begin));
 }
 
+// Decodes the summary of entry `i`, keyed `key`, into *out; kDataLoss
+// when its bytes do not decode exactly.
+Status DecodeSummary(const char* offsets, const char* blob, size_t i,
+                     const GroupKey& key, CellSummary* out) {
+  std::string_view bytes = SummaryBytes(offsets, blob, i);
+  if (!out->Deserialize(&bytes).ok() || !bytes.empty()) {
+    return Payload("summary of " + GroupKeyToString(key) + " does not decode");
+  }
+  return Status::OK();
+}
+
 // An entry placed against one grouping set of the image it is written
 // over: `at` is the index of the first image key not below it, and
 // `shared` whether that key is the entry's own.
@@ -121,6 +132,12 @@ Result<std::shared_ptr<const InventorySnapshot>> InventorySnapshot::FromImage(
   // stable and a heap image moves by pointer.
   snapshot->image_ = std::move(opened.file);
   POL_RETURN_IF_ERROR(snapshot->Bind(opened.view));
+  for (SetView& entries : snapshot->sets_) {
+    if (entries.count > 0) {
+      entries.cache =
+          std::make_unique<std::atomic<Decoded*>[]>(entries.count);
+    }
+  }
   return std::shared_ptr<const InventorySnapshot>(std::move(snapshot));
 }
 
@@ -175,10 +192,6 @@ Status InventorySnapshot::Bind(const store::SnapshotFileView& view) {
            KeyDimsAt(entries.keys, i - 1) >= KeyDimsAt(entries.keys, i))) {
         return Payload("keys out of order");
       }
-    }
-    if (entries.count > 0) {
-      entries.cache =
-          std::make_unique<std::atomic<Decoded*>[]>(entries.count);
     }
   }
 
@@ -371,6 +384,37 @@ std::shared_ptr<const InventorySnapshot> Inventory::Seal() const {
                                   summaries_);
 }
 
+void Inventory::SerializeTo(std::string* out) const {
+  *out = InventorySnapshot::WriteImage(InventorySnapshot::Empty(), resolution_,
+                                       summaries_, /*stamp=*/false,
+                                       /*copied_runs=*/nullptr);
+}
+
+Result<Inventory> Inventory::DeserializeFrom(std::string_view input) {
+  POL_ASSIGN_OR_RETURN(const store::SnapshotFileView view,
+                       store::SnapshotFileView::Validate(input));
+  // Bound to the caller's bytes: no copy of the image, no decode cache.
+  InventorySnapshot image{InventorySnapshot::OpenTag{}};
+  POL_RETURN_IF_ERROR(image.Bind(view));
+  SummaryMap summaries;
+  summaries.reserve(image.total_);
+  for (const InventorySnapshot::SetView& entries : image.sets_) {
+    for (size_t i = 0; i < entries.count; ++i) {
+      const GroupKey key = GroupKeyFromPacked(KeyCellAt(entries.keys, i),
+                                              KeyDimsAt(entries.keys, i));
+      CellSummary summary;
+      POL_RETURN_IF_ERROR(
+          DecodeSummary(entries.offsets, entries.blob, i, key, &summary));
+      // Dims that differ only outside the packing decode to one key; a
+      // repeated key has no single answer.
+      if (!summaries.emplace(key, std::move(summary)).second) {
+        return Payload("repeated summary key " + GroupKeyToString(key));
+      }
+    }
+  }
+  return Inventory(image.resolution_, std::move(summaries));
+}
+
 Result<std::shared_ptr<const InventorySnapshot>> InventorySnapshot::MergeSeal(
     Inventory&& delta) const {
   if (delta.resolution() != resolution_) {
@@ -386,12 +430,9 @@ Result<std::shared_ptr<const InventorySnapshot>> InventorySnapshot::MergeSeal(
     const SetView& entries = sets_[key.grouping_set];
     const size_t at = KeyIndex(entries.keys, entries.count, key);
     if (at == entries.count) continue;
-    std::string_view bytes = SummaryBytes(entries.offsets, entries.blob, at);
     CellSummary image_summary;
-    if (!image_summary.Deserialize(&bytes).ok() || !bytes.empty()) {
-      return Payload("summary of " + GroupKeyToString(key) +
-                     " does not decode");
-    }
+    POL_RETURN_IF_ERROR(DecodeSummary(entries.offsets, entries.blob, at, key,
+                                      &image_summary));
     image_summary.Merge(std::move(summary));
     summary = std::move(image_summary);
     ++merged;
@@ -409,6 +450,48 @@ Result<std::shared_ptr<const InventorySnapshot>> InventorySnapshot::MergeSeal(
 std::shared_ptr<const InventorySnapshot> InventorySnapshot::Write(
     const InventorySnapshot& base, int resolution, const SummaryMap& entries) {
   POL_TRACE_SPAN("inventory.seal");
+  std::vector<std::array<size_t, 4>> copied_runs;
+  store::SnapshotStore::Opened opened;
+  opened.file = store::MappedFile::FromString(
+      WriteImage(base, resolution, entries, /*stamp=*/true, &copied_runs));
+  // The written image opens exactly like a stored generation; a failure
+  // here is a writer bug, not data loss.
+  Result<store::SnapshotFileView> view =
+      store::SnapshotFileView::Validate(opened.file.bytes());
+  POL_CHECK(view.ok()) << "sealed image fails validation: "
+                       << view.status().ToString();
+  opened.view = std::move(view).value();
+  Result<std::shared_ptr<const InventorySnapshot>> snapshot =
+      FromImage(std::move(opened));
+  POL_CHECK(snapshot.ok()) << "sealed image fails to open: "
+                           << snapshot.status().ToString();
+  // A verbatim copy decodes to what the image already decoded, so the
+  // new snapshot shares those decodes: readers do not pay a first-touch
+  // decode again for summaries the delta left alone, and no summary is
+  // copied.
+  for (const auto& [set, from_index, to_index, count] : copied_runs) {
+    const SetView& old_entries = base.sets_[set];
+    const SetView& new_entries = (*snapshot)->sets_[set];
+    for (size_t i = 0; i < count; ++i) {
+      Decoded* decoded =
+          old_entries.cache[from_index + i].load(std::memory_order_acquire);
+      if (decoded == nullptr) continue;
+      decoded->holders.fetch_add(1, std::memory_order_relaxed);
+      new_entries.cache[to_index + i].store(decoded,
+                                            std::memory_order_release);
+    }
+  }
+
+  auto& registry = obs::Registry::Global();
+  registry.histogram(kMetricServingSealSeconds)
+      ->Record((*snapshot)->stats_.seal_seconds);
+  registry.counter(kMetricServingSeals)->Increment();
+  return std::move(snapshot).value();
+}
+
+std::string InventorySnapshot::WriteImage(
+    const InventorySnapshot& base, int resolution, const SummaryMap& entries,
+    bool stamp, std::vector<std::array<size_t, 4>>* copied_runs) {
   const double start = obs::NowSeconds();
 
   // Plan: the entries per grouping set in key order, each placed against
@@ -505,15 +588,13 @@ std::shared_ptr<const InventorySnapshot> InventorySnapshot::Write(
     masks.push_back(image_mask(next_mask++));
   }
   meta.stats.segment_index_cells = masks.size();
-  // Process-wide seal ordinal: the snapshot id the serving telemetry
-  // joins query-log rows and the active_id gauge on.
-  static std::atomic<uint64_t> seal_counter{0};
-  meta.stats.seal_sequence =
-      seal_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-
-  // Runs of image entries copied verbatim, as {set, image index, new
-  // index, count}: their decoded summaries carry over to the new image.
-  std::vector<std::array<size_t, 4>> copied_runs;
+  if (stamp) {
+    // Process-wide seal ordinal: the snapshot id the serving telemetry
+    // joins query-log rows and the active_id gauge on.
+    static std::atomic<uint64_t> seal_counter{0};
+    meta.stats.seal_sequence =
+        seal_counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
   // Write: every section in layout order, straight into the image. The
   // keys and offsets sections are sized first and filled while the blob
@@ -566,8 +647,10 @@ std::shared_ptr<const InventorySnapshot> InventorySnapshot::Write(
       }
       out->append(image.blob + run_begin,
                   static_cast<size_t>(run_end - run_begin));
-      copied_runs.push_back(
-          {set, copied, written - (end - copied), end - copied});
+      if (copied_runs != nullptr) {
+        copied_runs->push_back(
+            {set, copied, written - (end - copied), end - copied});
+      }
       copied = end;
     };
     const std::vector<Placed>& set_entries = placed[set];
@@ -614,44 +697,12 @@ std::shared_ptr<const InventorySnapshot> InventorySnapshot::Write(
     store::AppendU64(out, mask);
   }
 
-  meta.stats.seal_seconds = obs::NowSeconds() - start;
-  const std::string sealed_meta = EncodeSnapshotMeta(meta);
-  out->replace(meta_at, sealed_meta.size(), sealed_meta);
-  store::SnapshotStore::Opened opened;
-  opened.file = store::MappedFile::FromString(writer.Finish());
-  // The written image opens exactly like a stored generation; a failure
-  // here is a writer bug, not data loss.
-  Result<store::SnapshotFileView> view =
-      store::SnapshotFileView::Validate(opened.file.bytes());
-  POL_CHECK(view.ok()) << "sealed image fails validation: "
-                       << view.status().ToString();
-  opened.view = std::move(view).value();
-  Result<std::shared_ptr<const InventorySnapshot>> snapshot =
-      FromImage(std::move(opened));
-  POL_CHECK(snapshot.ok()) << "sealed image fails to open: "
-                           << snapshot.status().ToString();
-  // A verbatim copy decodes to what the image already decoded, so the
-  // new snapshot shares those decodes: readers do not pay a first-touch
-  // decode again for summaries the delta left alone, and no summary is
-  // copied.
-  for (const auto& [set, from_index, to_index, count] : copied_runs) {
-    const SetView& old_entries = base.sets_[set];
-    const SetView& new_entries = (*snapshot)->sets_[set];
-    for (size_t i = 0; i < count; ++i) {
-      Decoded* decoded =
-          old_entries.cache[from_index + i].load(std::memory_order_acquire);
-      if (decoded == nullptr) continue;
-      decoded->holders.fetch_add(1, std::memory_order_relaxed);
-      new_entries.cache[to_index + i].store(decoded,
-                                            std::memory_order_release);
-    }
+  if (stamp) {
+    meta.stats.seal_seconds = obs::NowSeconds() - start;
+    const std::string sealed_meta = EncodeSnapshotMeta(meta);
+    out->replace(meta_at, sealed_meta.size(), sealed_meta);
   }
-
-  auto& registry = obs::Registry::Global();
-  registry.histogram(kMetricServingSealSeconds)
-      ->Record(meta.stats.seal_seconds);
-  registry.counter(kMetricServingSeals)->Increment();
-  return std::move(snapshot).value();
+  return writer.Finish();
 }
 
 }  // namespace pol::core

@@ -137,15 +137,27 @@ class InventorySnapshot final : public InventoryQuery {
     std::unique_ptr<std::atomic<Decoded*>[]> cache;
   };
 
-  // Inventory::Seal() is Write over the empty image.
+  // Inventory::Seal() is Write over the empty image, SerializeTo is
+  // WriteImage over it, and DeserializeFrom Binds a snapshot without a
+  // decode cache to its input.
   friend class Inventory;
 
-  // The one image writer behind Seal and MergeSeal: `base`'s entries
-  // overlaid with `entries`, an entry whose key `base` holds replacing
-  // it.
+  // Seal and MergeSeal: writes the image (stamped) and serves it.
   static std::shared_ptr<const InventorySnapshot> Write(
       const InventorySnapshot& base, int resolution,
       const SummaryMap& entries);
+
+  // The one image writer: `base`'s entries overlaid with `entries`, an
+  // entry whose key `base` holds replacing it. `stamp` writes the seal
+  // time and a fresh seal ordinal into the meta; without it both are 0,
+  // so equal contents give equal bytes (the canonical image).
+  // `copied_runs`, when non-null, receives the runs of base entries
+  // copied verbatim, as {set, base index, new index, count}: their
+  // decoded summaries carry over to the new image.
+  static std::string WriteImage(
+      const InventorySnapshot& base, int resolution, const SummaryMap& entries,
+      bool stamp, std::vector<std::array<size_t, 4>>* copied_runs);
+
   // A snapshot of nothing: what Seal writes over.
   static const InventorySnapshot& Empty();
 

@@ -138,7 +138,8 @@ PipelineResult RunPipelineImpl(
     // mapping, which `restored` holds until this block ends.
     Result<LoadedCheckpoint> restored = checkpoints.LoadLatest();
     if (restored.ok()) {
-      Status restore_status = builder.RestoreState(restored->builder_state);
+      Status restore_status =
+          builder.RestoreState(restored->builder_state, restored->folding);
       if (restore_status.ok() &&
           restored->total_chunks != chunks.size()) {
         restore_status = Status::FailedPrecondition(
@@ -202,6 +203,7 @@ PipelineResult RunPipelineImpl(
     state.cleaning = result.cleaning;
     state.enrichment = result.enrichment;
     state.trips = result.trips;
+    state.folding = builder.accounting();
     builder.SerializeState(&state.builder_state);
     Status written = checkpoints.Write(std::move(state));
     if (written.ok()) {

@@ -80,8 +80,8 @@ class ServingInventory final {
 
   // Cold start from a snapshot store: maps the newest readable
   // generation (falling back past corrupt ones) and serves it
-  // immediately — queries are answered in mmap time, no LoadFromFile,
-  // no Seal — and later refreshes merge into it. The second overload
+  // immediately — queries are answered in mmap time, no decode of
+  // every summary, no Seal — and later refreshes merge into it. The second overload
   // first checks that `base` has the stored generation's resolution
   // (FailedPrecondition otherwise), then drops it like the constructor
   // above.

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -88,6 +89,8 @@ CheckpointState SampleState() {
   state.enrichment = {
       .input = 488, .unknown_vessel = 6, .non_commercial = 70, .kept = 412};
   state.trips = {.input = 412, .trips = 9, .annotated = 400, .excluded = 12};
+  state.folding = {
+      .chunks = 6, .records = 400, .peak_partition = 90, .wall_seconds = 0.5};
   state.builder_state = "opaque builder bytes";
   return state;
 }
@@ -106,6 +109,7 @@ void ExpectStatesEqual(const LoadedCheckpoint& a, const CheckpointState& b) {
   EXPECT_EQ(a.cleaning, b.cleaning);
   EXPECT_EQ(a.enrichment, b.enrichment);
   EXPECT_EQ(a.trips, b.trips);
+  EXPECT_EQ(a.folding, b.folding);
   EXPECT_EQ(a.builder_state, b.builder_state);
 }
 
@@ -257,7 +261,17 @@ struct MetaFields {
   // Cleaning (5), enrichment (4) and trip (4) stats, in field order.
   std::vector<uint64_t> stats = {90, 1, 2, 3, 84, 84, 4, 20,
                                  60, 60, 2, 55, 5};
+  // Fold accounting: chunks, records, peak partition, then the wall
+  // seconds (absent when unset).
+  std::vector<uint64_t> folding = {3, 60, 30};
+  std::optional<double> fold_wall_seconds = 0.25;
   std::string trailing;
+
+  // Drops everything the meta carries after the stage stats.
+  void DropFolding() {
+    folding.clear();
+    fold_wall_seconds.reset();
+  }
 
   std::string Encode() const {
     std::string out;
@@ -273,6 +287,8 @@ struct MetaFields {
       PutLengthPrefixed(&out, "quarantined");
     }
     for (const uint64_t field : stats) PutVarint64(&out, field);
+    for (const uint64_t field : folding) PutVarint64(&out, field);
+    if (fold_wall_seconds.has_value()) PutDouble(&out, *fold_wall_seconds);
     out += trailing;
     return out;
   }
@@ -310,6 +326,7 @@ TEST_F(CheckpointTest, HandBuiltImageLoads) {
   EXPECT_EQ(loaded->cleaning, (CleaningStats{90, 1, 2, 3, 84}));
   EXPECT_EQ(loaded->enrichment, (EnrichmentStats{84, 4, 20, 60}));
   EXPECT_EQ(loaded->trips, (TripStats{60, 2, 55, 5}));
+  EXPECT_EQ(loaded->folding, (FoldAccounting{3, 60, 30, 0.25}));
   EXPECT_EQ(loaded->builder_state, "builder bytes");
 }
 
@@ -360,11 +377,27 @@ TEST_F(CheckpointTest, InconsistentMetaIsDataLossAndFallsBack) {
     Case c{"unsupported version 1", {}};
     c.meta.version = 1;
     c.meta.stats.clear();
+    c.meta.DropFolding();
+    cases.push_back(c);
+  }
+  {
+    // A version-2 generation carries no fold accounting (its builder
+    // section held it, ahead of a record list rather than an image); it
+    // is refused too, so a directory holding only those starts fresh.
+    Case c{"unsupported version 2", {}};
+    c.meta.version = 2;
+    c.meta.DropFolding();
     cases.push_back(c);
   }
   {
     Case c{"truncated at stage stats", {}};
     c.meta.stats.pop_back();
+    c.meta.DropFolding();
+    cases.push_back(c);
+  }
+  {
+    Case c{"truncated at fold wall seconds", {}};
+    c.meta.fold_wall_seconds.reset();
     cases.push_back(c);
   }
   {
@@ -556,7 +589,7 @@ TEST_F(CheckpointTest, BuilderStateRoundTripsByteIdentically) {
   original.SerializeState(&mid_state);
 
   InventoryBuilder restored(extractor_config);
-  ASSERT_TRUE(restored.RestoreState(mid_state).ok());
+  ASSERT_TRUE(restored.RestoreState(mid_state, original.accounting()).ok());
   EXPECT_EQ(restored.records_folded(), original.records_folded());
   EXPECT_EQ(restored.size(), original.size());
   EXPECT_EQ(restored.metrics().chunks, original.metrics().chunks);
@@ -591,39 +624,29 @@ TEST_F(CheckpointTest, RestoreRejectsResolutionMismatch) {
   ExtractorConfig config5;
   config5.resolution = 5;
   InventoryBuilder target(config5);
-  EXPECT_EQ(target.RestoreState(state).code(),
+  EXPECT_EQ(target.RestoreState(state, {}).code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(CheckpointTest, RestoreRejectsRepeatedSummaryKey) {
-  // Builder state whose summary records repeat one key: the shared
-  // record decoder refuses it instead of keeping the first summary.
-  const GroupKey key = KeyCell(hex::LatLngToCell({1.3, 103.8}, 6));
-  std::string summary_bytes;
-  CellSummary().Serialize(&summary_bytes);
-  std::string state;
-  PutVarint64(&state, 6);  // Resolution.
-  PutVarint64(&state, 0);  // Records folded.
-  PutVarint64(&state, 0);  // Chunks.
-  PutVarint64(&state, 0);  // Records in.
-  PutVarint64(&state, 0);  // Peak partition.
-  PutDouble(&state, 0.0);  // Wall seconds.
-  PutVarint64(&state, 2);  // Summary count.
-  for (int copy = 0; copy < 2; ++copy) {
-    PutVarint64(&state, key.cell);
-    PutVarint64(&state, GroupKeyDimsPacked(key));
-    PutLengthPrefixed(&state, summary_bytes);
-  }
+TEST_F(CheckpointTest, RestoreRejectsDamagedImageAndCommitsNothing) {
+  // A builder image that does not decode (here one flipped payload bit;
+  // Inventory's tests cover the other damage) is data loss, and the
+  // builder keeps its own state.
+  std::string state = RealBuilderState();
+  state[state.size() / 2] = static_cast<char>(state[state.size() / 2] ^ 0x04);
   ExtractorConfig config;
   config.resolution = 6;
   InventoryBuilder builder(config);
-  EXPECT_EQ(builder.RestoreState(state).code(), StatusCode::kCorruption);
+  EXPECT_EQ(builder.RestoreState(state, {.chunks = 9}).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(builder.size(), 0u);
+  EXPECT_EQ(builder.metrics().chunks, 0u);
 }
 
 TEST_F(CheckpointTest, RestoreRejectsGarbage) {
   ExtractorConfig config;
   InventoryBuilder builder(config);
-  EXPECT_FALSE(builder.RestoreState("definitely not builder state").ok());
+  EXPECT_FALSE(builder.RestoreState("definitely not builder state", {}).ok());
 }
 
 }  // namespace

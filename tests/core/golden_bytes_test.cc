@@ -1,6 +1,8 @@
 // Golden bytes: pins the on-disk encodings of one small, fixed, seeded
-// inventory — the POLINV01 file (length + CRC32) and every POLSNAP1
-// payload section (id, size, CRC32) — so a change to summary storage,
+// inventory — its whole canonical image (Inventory::SerializeTo: length
+// + CRC32, meta included, since that meta carries no seal time or
+// ordinal) and every POLSNAP1 payload section of its sealed image (id,
+// size, CRC32) — so a change to summary storage,
 // folding or encoding that alters a single byte fails here, not only
 // in comparisons between two builds of the same binary.
 //
@@ -170,11 +172,11 @@ TEST(GoldenBytesTest, InventoryReachesSketchBoundaries) {
   }
 }
 
-TEST(GoldenBytesTest, Polinv01Bytes) {
+TEST(GoldenBytesTest, CanonicalImageBytes) {
   std::string bytes;
   GoldenInventory().SerializeTo(&bytes);
-  EXPECT_EQ(bytes.size(), 340556u);
-  EXPECT_EQ(Crc32(bytes), 525899637u);
+  EXPECT_EQ(bytes.size(), 370688u);
+  EXPECT_EQ(Crc32(bytes), 2479526910u);
 }
 
 TEST(GoldenBytesTest, Polsnap1Bytes) {

@@ -1,6 +1,6 @@
-// Robustness sweeps of the inventory's binary format: every truncation
-// and random corruption must be detected (or decode to a valid
-// inventory), never crash or read out of bounds.
+// Robustness sweeps of the inventory's byte form, its canonical POLSNAP1
+// image: every truncation and random corruption must be detected (or
+// decode to a valid inventory), never crash or read out of bounds.
 
 #include <gtest/gtest.h>
 
@@ -60,15 +60,15 @@ TEST(InventoryFuzzTest, RandomByteFlipsAreDetected) {
     const auto result = Inventory::DeserializeFrom(corrupted);
     if (!result.ok()) ++detected;
   }
-  // The CRC catches every body flip; header flips fail the magic/size
-  // checks. (A flip inside the CRC bytes themselves also mismatches.)
+  // Section CRCs catch every payload flip, the header CRC every header
+  // or table flip, and the padding scan every flip between sections.
   EXPECT_EQ(detected, kTrials);
 }
 
 TEST(InventoryFuzzTest, RandomGarbageNeverCrashes) {
   Rng rng(7);
   for (int trial = 0; trial < 2000; ++trial) {
-    std::string noise = "POLINV01";  // Correct magic, garbage body.
+    std::string noise = "POLSNAP1";  // Correct magic, garbage body.
     const size_t length = rng.NextBelow(300);
     for (size_t i = 0; i < length; ++i) {
       noise.push_back(static_cast<char>(rng.NextBelow(256)));
@@ -78,16 +78,15 @@ TEST(InventoryFuzzTest, RandomGarbageNeverCrashes) {
   SUCCEED();
 }
 
-TEST(InventoryFuzzTest, AppendedTrailingBytesTolerated) {
-  // Extra bytes after the checksum do not invalidate the inventory
-  // (files may be padded by storage layers).
+TEST(InventoryFuzzTest, AppendedTrailingBytesAreDataLoss) {
+  // The image records its own size, so bytes after it (a padded or
+  // concatenated file) are damage, not slack.
   const Inventory inv = BuildSample();
   std::string bytes;
   inv.SerializeTo(&bytes);
   bytes += "trailing junk";
-  const auto result = Inventory::DeserializeFrom(bytes);
-  EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), inv.size());
+  EXPECT_EQ(Inventory::DeserializeFrom(bytes).status().code(),
+            StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
+#include <functional>
 #include <string>
 
-#include "common/crc32.h"
 #include "common/rng.h"
-#include "common/varint.h"
+#include "core/inventory_snapshot.h"
+#include "core/snapshot_codec.h"
 #include "hexgrid/hexgrid.h"
+#include "store/snapshot_format.h"
 
 namespace pol::core {
 namespace {
@@ -169,71 +171,127 @@ TEST(InventoryTest, SerializationIsCanonical) {
   EXPECT_EQ(first, second);
 }
 
-TEST(InventoryTest, CorruptionIsDetected) {
+TEST(InventoryTest, EmptyInventoryRoundTrips) {
+  // Most daily deltas are empty: their image must still round-trip.
+  std::string bytes;
+  Inventory(7, SummaryMap{}).SerializeTo(&bytes);
+  const auto restored = Inventory::DeserializeFrom(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->resolution(), 7);
+  EXPECT_EQ(restored->size(), 0u);
+  std::string again;
+  restored->SerializeTo(&again);
+  EXPECT_EQ(again, bytes);
+}
+
+TEST(InventoryTest, SerializedBytesAreTheSealedImageUnstamped) {
+  // SerializeTo writes what Seal writes, except that the meta's seal
+  // time and ordinal are 0.
+  const Inventory inv = SmallInventory();
+  std::string bytes;
+  inv.SerializeTo(&bytes);
+  std::string sealed;
+  inv.Seal()->EncodeTo(&sealed);
+  const auto view = store::SnapshotFileView::Validate(bytes);
+  const auto sealed_view = store::SnapshotFileView::Validate(sealed);
+  ASSERT_TRUE(view.ok() && sealed_view.ok());
+  ASSERT_EQ(view->Sections().size(), sealed_view->Sections().size());
+  for (size_t i = 0; i < view->Sections().size(); ++i) {
+    const uint32_t id = view->Sections()[i].id;
+    EXPECT_EQ(id, sealed_view->Sections()[i].id);
+    if (id == kSnapSectionMeta) continue;
+    EXPECT_EQ(*view->Section(id), *sealed_view->Section(id)) << id;
+  }
+  const auto meta = DecodeSnapshotMeta(*view);
+  const auto sealed_meta = DecodeSnapshotMeta(*sealed_view);
+  ASSERT_TRUE(meta.ok() && sealed_meta.ok());
+  EXPECT_EQ(meta->stats.seal_seconds, 0.0);
+  EXPECT_EQ(meta->stats.seal_sequence, 0u);
+  EXPECT_GT(sealed_meta->stats.seal_sequence, 0u);
+  EXPECT_EQ(meta->total, sealed_meta->total);
+  EXPECT_EQ(meta->stats.summaries_per_set,
+            sealed_meta->stats.summaries_per_set);
+}
+
+TEST(InventoryTest, DamagedImageIsDataLoss) {
   const Inventory inv = SmallInventory();
   std::string bytes;
   inv.SerializeTo(&bytes);
 
-  // Bit flip in the body.
+  // Bit flip in a payload section.
   std::string corrupted = bytes;
   corrupted[bytes.size() / 2] =
       static_cast<char>(corrupted[bytes.size() / 2] ^ 0x10);
   EXPECT_EQ(Inventory::DeserializeFrom(corrupted).status().code(),
-            StatusCode::kCorruption);
+            StatusCode::kDataLoss);
 
   // Truncation.
-  EXPECT_FALSE(
-      Inventory::DeserializeFrom(bytes.substr(0, bytes.size() - 10)).ok());
+  EXPECT_EQ(Inventory::DeserializeFrom(bytes.substr(0, bytes.size() - 10))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 
   // Wrong magic.
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(Inventory::DeserializeFrom(bad_magic).ok());
+  EXPECT_EQ(Inventory::DeserializeFrom(bad_magic).status().code(),
+            StatusCode::kDataLoss);
+
+  // Trailing bytes: the image records its own size.
+  EXPECT_EQ(Inventory::DeserializeFrom(bytes + "x").status().code(),
+            StatusCode::kDataLoss);
 }
 
-TEST(InventoryTest, RepeatedKeyInCrcValidBodyIsCorruption) {
-  // A hand-framed POLINV01 file whose body carries the same key twice
-  // with different summaries. The CRC is right, so only the record
-  // decoder can refuse it; keeping either summary would be a silently
+// Re-frames `image` with `patch` applied to each section's payload and
+// every CRC recomputed: a CRC-valid image carrying exactly that damage.
+std::string Reframe(
+    const std::string& image,
+    const std::function<void(uint32_t id, std::string* payload)>& patch) {
+  const auto view = store::SnapshotFileView::Validate(image);
+  EXPECT_TRUE(view.ok());
+  store::SnapshotFileWriter writer(view->Sections().size());
+  for (const store::SnapshotFileView::SectionInfo& info : view->Sections()) {
+    std::string payload(*view->Section(info.id));
+    patch(info.id, &payload);
+    writer.BeginSection(info.id)->append(payload);
+  }
+  return writer.Finish();
+}
+
+TEST(InventoryTest, RepeatedKeyInCrcValidImageIsDataLoss) {
+  // Two (cell, type) keys of one cell, the second's packed dims
+  // rewritten to the first's plus a bit outside the packing: the keys
+  // stay in strict order and every CRC is right, but both decode to one
+  // key with different summaries. Keeping either would be a silently
   // different answer.
-  const hex::CellIndex cell = hex::LatLngToCell({1.3, 103.8}, 6);
-  const GroupKey key = KeyCell(cell);
-  std::string body;
-  PutVarint64(&body, 6);  // Resolution.
-  PutVarint64(&body, 2);  // Record count.
-  for (int records : {1, 2}) {
-    CellSummary summary;
-    for (int i = 0; i < records; ++i) {
-      summary.Add(SampleRecord(215000001, 1, 10, 22,
-                               ais::MarketSegment::kTanker));
-    }
-    std::string summary_bytes;
-    summary.Serialize(&summary_bytes);
-    PutVarint64(&body, key.cell);
-    PutVarint64(&body, GroupKeyDimsPacked(key));
-    PutLengthPrefixed(&body, summary_bytes);
-  }
-  std::string file = "POLINV01";
-  PutVarint64(&file, body.size());
-  file += body;
-  const uint32_t crc = Crc32(body);
-  for (int shift = 0; shift < 32; shift += 8) {
-    file.push_back(static_cast<char>((crc >> shift) & 0xff));
-  }
-  const auto restored = Inventory::DeserializeFrom(file);
-  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption)
+  std::string bytes;
+  SmallInventory().SerializeTo(&bytes);
+  ASSERT_EQ(Reframe(bytes, [](uint32_t, std::string*) {}), bytes);
+  bool patched = false;
+  const std::string repeated =
+      Reframe(bytes, [&patched](uint32_t id, std::string* keys) {
+        if (id != kSnapSectionKeysBase +
+                      static_cast<uint32_t>(GroupingSet::kCellType)) {
+          return;
+        }
+        for (size_t at = 16; at + 16 <= keys->size() && !patched; at += 16) {
+          if (store::LoadU64(keys->data() + at) !=
+              store::LoadU64(keys->data() + at - 16)) {
+            continue;
+          }
+          store::StoreU64(keys->data() + at + 8,
+                          store::LoadU64(keys->data() + at - 8) |
+                              (uint64_t{1} << 48));
+          patched = true;
+        }
+      });
+  ASSERT_TRUE(patched);
+  const auto restored = Inventory::DeserializeFrom(repeated);
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss)
       << restored.status().ToString();
-}
-
-TEST(InventoryTest, FileRoundTrip) {
-  const Inventory inv = SmallInventory();
-  const std::string path = "/tmp/pol_inventory_test.polinv";
-  ASSERT_TRUE(inv.SaveToFile(path).ok());
-  const auto loaded = Inventory::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), inv.size());
-  std::remove(path.c_str());
-  EXPECT_FALSE(Inventory::LoadFromFile("/tmp/does_not_exist.polinv").ok());
+  EXPECT_NE(restored.status().message().find("repeated summary key"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 }  // namespace

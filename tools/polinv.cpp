@@ -1,14 +1,16 @@
-// polinv — command-line inspector for saved Patterns-of-Life inventory
-// files (*.polinv).
+// polinv — command-line inspector for Patterns-of-Life inventories. An
+// <inv> is a snapshot-store directory (its newest readable generation,
+// falling back past torn or corrupt ones, as a cold start does) or one
+// POLSNAP1 file (a generation, or Inventory::SerializeTo bytes).
 //
-//   polinv stats <file>                    header, per-grouping-set counts,
+//   polinv stats <inv>                     source, per-grouping-set counts,
 //                                          snapshot index sizes
-//   polinv query <file> <lat> <lng>        Table-3 summary of the cell
-//   polinv route <file> <o> <d> <segment>  corridor cells of a route key
+//   polinv query <inv> <lat> <lng>         Table-3 summary of the cell
+//   polinv route <inv> <o> <d> <segment>   corridor cells of a route key
 //                                          (seal-time route sections)
-//   polinv top <file> <n>                  n busiest cells
-//   polinv export <file>                   CSV of the (cell) grouping set
-//   polinv geojson <file> [min_records]    cell polygons as GeoJSON
+//   polinv top <inv> <n>                   n busiest cells
+//   polinv export <inv>                    CSV of the (cell) grouping set
+//   polinv geojson <inv> [min_records]     cell polygons as GeoJSON
 //   polinv snapshots <store-dir>           list a snapshot store's
 //                                          generations: size, CRC status,
 //                                          seal stats, cold-start pick
@@ -19,7 +21,7 @@
 //                                          one-screen serving table
 //
 // Every inventory command queries through core::InventoryQuery against
-// a sealed InventorySnapshot — the same read path a serving process
+// the mapped InventorySnapshot — the same read path a serving process
 // uses — never the raw summary map.
 //
 // Exit code 0 on success, 1 on usage errors, 2 on IO/corruption.
@@ -34,9 +36,9 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/inventory.h"
 #include "core/inventory_snapshot.h"
 #include "core/snapshot_codec.h"
 #include "flow/stage.h"
@@ -45,6 +47,8 @@
 #include "obs/openmetrics.h"
 #include "obs/report.h"
 #include "sim/ports.h"
+#include "store/mapped_file.h"
+#include "store/snapshot_format.h"
 #include "store/snapshot_store.h"
 
 namespace pol {
@@ -52,13 +56,13 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage:\n"
-               "  polinv stats   <file.polinv>\n"
-               "  polinv query   <file.polinv> <lat> <lng>\n"
-               "  polinv route   <file.polinv> <origin> <dest> <segment>\n"
-               "  polinv top     <file.polinv> <n>\n"
-               "  polinv export  <file.polinv>\n"
-               "  polinv geojson <file.polinv> [min_records]\n"
+               "usage (<inv>: a snapshot-store directory or snapshot file):\n"
+               "  polinv stats   <inv>\n"
+               "  polinv query   <inv> <lat> <lng>\n"
+               "  polinv route   <inv> <origin> <dest> <segment>\n"
+               "  polinv top     <inv> <n>\n"
+               "  polinv export  <inv>\n"
+               "  polinv geojson <inv> [min_records]\n"
                "  polinv snapshots <store-dir>\n"
                "  polinv report  <report.json>\n"
                "  polinv watch   <metrics.txt> [--interval=SECONDS] "
@@ -66,11 +70,28 @@ int Usage() {
   return 1;
 }
 
-Result<core::Inventory> Load(const char* path) {
-  return core::Inventory::LoadFromFile(path);
+// Maps the inventory at `path`; `*source` names the file served.
+Result<std::shared_ptr<const core::InventorySnapshot>> Open(
+    const std::string& path, std::string* source) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    const store::SnapshotStore snapshot_store(
+        store::SnapshotStoreOptions{path, /*keep=*/3});
+    uint64_t generation = 0;
+    auto snapshot = core::OpenLatestSnapshot(snapshot_store, &generation);
+    *source = snapshot_store.GenerationPath(generation);
+    return snapshot;
+  }
+  *source = path;
+  store::SnapshotStore::Opened opened;
+  POL_ASSIGN_OR_RETURN(opened.file, store::MappedFile::Open(path));
+  POL_ASSIGN_OR_RETURN(opened.view,
+                       store::SnapshotFileView::Validate(opened.file.bytes()));
+  return core::SnapshotFromOpened(std::move(opened));
 }
 
-int CmdStats(const core::InventorySnapshot& inv) {
+int CmdStats(const core::InventorySnapshot& inv, const std::string& source) {
+  std::printf("source:            %s\n", source.c_str());
   std::printf("resolution:        %d (mean cell ~%.1f km^2)\n",
               inv.resolution(), hex::MeanCellAreaKm2(inv.resolution()));
   std::printf("summaries:         %zu\n", inv.size());
@@ -681,30 +702,29 @@ int Main(int argc, char** argv) {
   if (std::strcmp(argv[1], "watch") == 0) return CmdWatch(argc, argv);
   // `snapshots` inspects a snapshot-store directory, not an inventory.
   if (std::strcmp(argv[1], "snapshots") == 0) return CmdSnapshots(argv[2]);
-  const auto inventory = Load(argv[2]);
-  if (!inventory.ok()) {
-    std::fprintf(stderr, "cannot load %s: %s\n", argv[2],
-                 inventory.status().ToString().c_str());
+  std::string source;
+  const auto opened = Open(argv[2], &source);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "cannot open %s: %s\n", argv[2],
+                 opened.status().ToString().c_str());
     return 2;
   }
-  // Seal once and serve every command from the immutable snapshot.
-  const std::shared_ptr<const core::InventorySnapshot> snapshot =
-      inventory->Seal();
-  if (std::strcmp(argv[1], "stats") == 0) return CmdStats(*snapshot);
+  const core::InventorySnapshot& snapshot = **opened;
+  if (std::strcmp(argv[1], "stats") == 0) return CmdStats(snapshot, source);
   if (std::strcmp(argv[1], "query") == 0 && argc == 5) {
-    return CmdQuery(*snapshot, std::atof(argv[3]), std::atof(argv[4]));
+    return CmdQuery(snapshot, std::atof(argv[3]), std::atof(argv[4]));
   }
   if (std::strcmp(argv[1], "route") == 0 && argc == 6) {
-    return CmdRoute(*snapshot, argv[3], argv[4], argv[5]);
+    return CmdRoute(snapshot, argv[3], argv[4], argv[5]);
   }
   if (std::strcmp(argv[1], "top") == 0 && argc == 4) {
-    return CmdTop(*snapshot, std::atoi(argv[3]));
+    return CmdTop(snapshot, std::atoi(argv[3]));
   }
-  if (std::strcmp(argv[1], "export") == 0) return CmdExport(*snapshot);
+  if (std::strcmp(argv[1], "export") == 0) return CmdExport(snapshot);
   if (std::strcmp(argv[1], "geojson") == 0) {
     const uint64_t min_records =
         argc >= 4 ? static_cast<uint64_t>(std::atoll(argv[3])) : 1;
-    return CmdGeoJson(*snapshot, min_records);
+    return CmdGeoJson(snapshot, min_records);
   }
   return Usage();
 }

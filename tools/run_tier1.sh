@@ -17,7 +17,7 @@
 #   tools/run_tier1.sh --obs      # + obs-labelled tests, overhead benches
 #   tools/run_tier1.sh --soak     # + serving chaos soak under TSan and fail points
 #   tools/run_tier1.sh --store    # + snapshot-store suites (ASan + fail points),
-#                                 #   cold-start bench vs LoadFromFile+Seal
+#                                 #   cold-start bench vs decode+Seal
 #
 # Flags combine; plain tier-1 runtime is unchanged when none are given.
 # Passes needing Clang tooling (--analyze, --tidy, --format) skip with a
@@ -184,8 +184,8 @@ store_pass() {
     cmake --preset "$preset" -S "$ROOT"
     run_labelled "$ROOT/build-$preset" store
   done
-  # Cold-start bar: mmap OpenLatest must beat LoadFromFile + Seal by
-  # >=10x; the bench exits non-zero below the threshold and writes the
+  # Cold-start bar: mmap OpenLatest must beat reading the generation,
+  # Inventory::DeserializeFrom and Seal by >=10x; the bench exits non-zero below the threshold and writes the
   # machine-readable comparison to build/bench-reports/.
   cmake --build "$ROOT/build" -j "$JOBS" --target bench_snapshot_store
   "$ROOT/build/bench/bench_snapshot_store" \
