@@ -3,17 +3,41 @@
 // resolution in dense areas"), implemented and measured here.
 //
 // Sweeps the density threshold and reports cell counts, footprint and
-// lookup behaviour against the uniform fine-resolution inventory.
+// lookup behaviour against the uniform fine-resolution inventory. Each
+// adaptive inventory is sealed, and its cell counts and probe answers
+// are read from that snapshot: the image the store would publish.
 
 #include <cstdio>
+#include <map>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "core/adaptive.h"
+#include "core/inventory_snapshot.h"
 #include "core/pipeline.h"
 #include "hexgrid/hexgrid.h"
 
 namespace pol {
 namespace {
+
+constexpr int kCoarseRes = 5;
+
+// Adaptive cells per resolution level.
+std::map<int, uint64_t> CellsPerResolution(const core::InventoryQuery& q) {
+  std::map<int, uint64_t> out;
+  q.VisitGroupingSet(core::GroupingSet::kCell,
+                     [&out](const core::GroupKey& key,
+                            const core::CellSummary&) {
+                       ++out[hex::CellResolution(key.cell)];
+                     });
+  return out;
+}
+
+double CellReduction(const core::InventoryQuery& adaptive,
+                     uint64_t fine_cells) {
+  return 1.0 - static_cast<double>(adaptive.DistinctCells()) /
+                   static_cast<double>(fine_cells);
+}
 
 int Run() {
   bench::PrintHeader(
@@ -49,22 +73,23 @@ int Run() {
                    "mean support", "res mix (5/6/7)"},
                   w);
   for (const uint64_t threshold : {10ull, 25ull, 50ull, 100ull, 400ull}) {
-    const core::AdaptiveInventory adaptive =
-        core::AdaptiveInventory::Build(fine, 5, threshold);
-    const core::AdaptiveStats stats = adaptive.Stats(fine_cells);
+    const std::shared_ptr<const core::InventorySnapshot> adaptive =
+        core::BuildAdaptiveInventory(fine, kCoarseRes, threshold).Seal();
+    const std::map<int, uint64_t> per_resolution =
+        CellsPerResolution(*adaptive);
     int covered = 0;
     double support_sum = 0;
     for (const geo::LatLng& p : probes) {
-      if (const core::CellSummary* s = adaptive.Lookup(p)) {
+      if (const core::CellSummary* s =
+              core::AdaptiveLookup(*adaptive, p, kCoarseRes)) {
         ++covered;
         support_sum += static_cast<double>(s->record_count());
       }
     }
     char mix[48];
-    auto level = [&stats](int res) {
-      const auto it = stats.cells_per_resolution.find(res);
-      return it == stats.cells_per_resolution.end() ? uint64_t{0}
-                                                    : it->second;
+    auto level = [&per_resolution](int res) {
+      const auto it = per_resolution.find(res);
+      return it == per_resolution.end() ? uint64_t{0} : it->second;
     };
     std::snprintf(mix, sizeof(mix), "%llu/%llu/%llu",
                   static_cast<unsigned long long>(level(5)),
@@ -74,8 +99,9 @@ int Run() {
     std::snprintf(support, sizeof(support), "%.0f",
                   covered == 0 ? 0.0 : support_sum / covered);
     bench::PrintRow(
-        {std::to_string(threshold), bench::FormatCount(stats.cells),
-         bench::FormatPercent(stats.cell_reduction),
+        {std::to_string(threshold),
+         bench::FormatCount(adaptive->DistinctCells()),
+         bench::FormatPercent(CellReduction(*adaptive, fine_cells)),
          bench::FormatPercent(static_cast<double>(covered) /
                               static_cast<double>(probes.size())),
          support, mix},
@@ -83,17 +109,17 @@ int Run() {
   }
 
   bench::PrintHeader("Shape checks");
-  const core::AdaptiveInventory mid =
-      core::AdaptiveInventory::Build(fine, 5, 50);
-  const core::AdaptiveStats mid_stats = mid.Stats(fine_cells);
+  const std::shared_ptr<const core::InventorySnapshot> mid =
+      core::BuildAdaptiveInventory(fine, kCoarseRes, 50).Seal();
+  const double mid_reduction = CellReduction(*mid, fine_cells);
+  const std::map<int, uint64_t> mid_per_resolution = CellsPerResolution(*mid);
   std::printf("adaptive shrinks the inventory:           %s (%.0f%% fewer "
               "cells at threshold 50)\n",
-              mid_stats.cell_reduction > 0.3 ? "PASS" : "FAIL",
-              mid_stats.cell_reduction * 100);
+              mid_reduction > 0.3 ? "PASS" : "FAIL", mid_reduction * 100);
   std::printf("dense areas keep the fine resolution:     %s\n",
-              mid_stats.cells_per_resolution.count(7) ? "PASS" : "FAIL");
+              mid_per_resolution.count(7) ? "PASS" : "FAIL");
   std::printf("open sea collapses to coarse cells:       %s\n",
-              mid_stats.cells_per_resolution.count(5) ? "PASS" : "FAIL");
+              mid_per_resolution.count(5) ? "PASS" : "FAIL");
   return 0;
 }
 

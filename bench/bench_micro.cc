@@ -20,7 +20,6 @@
 #include "core/geofence.h"
 #include "core/pipeline.h"
 #include "hexgrid/hexgrid.h"
-#include "hexgrid/region.h"
 #include "sim/fleet.h"
 #include "stats/hyperloglog.h"
 #include "stats/spacesaving.h"
@@ -81,21 +80,6 @@ void BM_GridDisk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridDisk)->Arg(1)->Arg(3)->Arg(8);
-
-void BM_BoxToCells(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hex::BoxToCells(50.0, 51.0, 0.0, 2.0, 6));
-  }
-}
-BENCHMARK(BM_BoxToCells)->Unit(benchmark::kMillisecond);
-
-void BM_CompactCells(benchmark::State& state) {
-  const auto cells = hex::BoxToCells(50.0, 51.0, 0.0, 2.0, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hex::CompactCells(cells));
-  }
-}
-BENCHMARK(BM_CompactCells)->Unit(benchmark::kMillisecond);
 
 void BM_TDigestAdd(benchmark::State& state) {
   Rng rng(4);

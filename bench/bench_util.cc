@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "hexgrid/hexgrid.h"
-#include "obs/report.h"
+#include "store/atomic_file.h"
 
 namespace pol::bench {
 
@@ -96,10 +96,10 @@ int Summary::Write() const {
   std::printf("BENCH %s\n", json_.Dump().c_str());
   std::fflush(stdout);
   if (path_.empty()) return 0;
-  std::string error;
-  if (!obs::WriteJsonFile(path_, json_, &error)) {
+  const Status written = store::WriteFileDurable(path_, json_.Dump(2) + "\n");
+  if (!written.ok()) {
     std::fprintf(stderr, "FAIL: cannot write %s: %s\n", path_.c_str(),
-                 error.c_str());
+                 written.message().c_str());
     return 1;
   }
   return 0;

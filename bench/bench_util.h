@@ -71,7 +71,8 @@ class Summary {
   // argv without `--report-out=`, argv[0] first (for google-benchmark).
   std::vector<char*>& args() { return args_; }
 
-  // Prints the BENCH line and writes the file. Returns the exit code:
+  // Prints the BENCH line and writes the file durably
+  // (store::WriteFileDurable). Returns the exit code:
   // 0, or 1 when the file cannot be written.
   int Write() const;
 

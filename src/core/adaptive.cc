@@ -1,5 +1,6 @@
 #include "core/adaptive.h"
 
+#include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -9,16 +10,18 @@
 
 namespace pol::core {
 
-AdaptiveInventory AdaptiveInventory::Build(const Inventory& fine,
-                                           int coarse_res,
-                                           uint64_t dense_threshold) {
+Inventory BuildAdaptiveInventory(const InventoryQuery& fine, int coarse_res,
+                                 uint64_t dense_threshold) {
   const int fine_res = fine.resolution();
   POL_CHECK(coarse_res >= 0 && coarse_res <= fine_res);
 
   // Bottom-up: per-level summary maps, each level the merge of the one
-  // below. levels[r - coarse_res] holds resolution r.
+  // below. levels[r - coarse_res] holds resolution r. The maps are
+  // ordered so that every parent merges its children in ascending cell
+  // order: the result then does not depend on the order `fine` visits
+  // its cells in (a build side and a snapshot differ there).
   const int num_levels = fine_res - coarse_res + 1;
-  std::vector<std::unordered_map<hex::CellIndex, CellSummary>> levels(
+  std::vector<std::map<hex::CellIndex, CellSummary>> levels(
       static_cast<size_t>(num_levels));
   // Children of each cell, per level (for the top-down cut).
   std::vector<std::unordered_map<hex::CellIndex, std::vector<hex::CellIndex>>>
@@ -26,12 +29,10 @@ AdaptiveInventory AdaptiveInventory::Build(const Inventory& fine,
 
   // Seed the finest level from the (cell) grouping set.
   auto& finest = levels[static_cast<size_t>(num_levels - 1)];
-  for (const auto& [key, summary] : fine.summaries()) {
-    if (key.grouping_set != static_cast<uint8_t>(GroupingSet::kCell)) {
-      continue;
-    }
-    finest.emplace(key.cell, summary);  // CellSummary is copyable.
-  }
+  fine.VisitGroupingSet(GroupingSet::kCell,
+                        [&finest](const GroupKey& key, const CellSummary& s) {
+                          finest.emplace(key.cell, s);  // Copyable.
+                        });
 
   // Merge upward level by level.
   for (int level = num_levels - 1; level > 0; --level) {
@@ -56,7 +57,7 @@ AdaptiveInventory AdaptiveInventory::Build(const Inventory& fine,
 
   // Top-down cut: keep a cell when it is sparse or already finest;
   // otherwise descend into its children.
-  std::unordered_map<hex::CellIndex, CellSummary> result;
+  SummaryMap result;
   std::vector<std::pair<int, hex::CellIndex>> stack;
   for (const auto& [cell, summary] : levels[0]) {
     stack.push_back({0, cell});
@@ -74,49 +75,34 @@ AdaptiveInventory AdaptiveInventory::Build(const Inventory& fine,
         stack.push_back({level + 1, child});
       }
     } else {
-      result.emplace(cell, std::move(it->second));
+      result.emplace(KeyCell(cell), std::move(it->second));
     }
   }
-  return AdaptiveInventory(coarse_res, fine_res, std::move(result));
+  return Inventory(fine_res, std::move(result));
 }
 
-const CellSummary* AdaptiveInventory::Lookup(const geo::LatLng& position,
-                                             int* resolution) const {
+const CellSummary* AdaptiveLookup(const InventoryQuery& adaptive,
+                                  const geo::LatLng& position, int coarse_res,
+                                  int* resolution) {
+  const int fine_res = adaptive.resolution();
   // Probe coarse to fine along the point's own ancestor chain.
-  for (int res = coarse_res_; res <= fine_res_; ++res) {
-    const hex::CellIndex cell = hex::LatLngToCell(position, res);
-    const auto it = cells_.find(cell);
-    if (it != cells_.end()) {
+  for (int res = coarse_res; res <= fine_res; ++res) {
+    if (const CellSummary* summary =
+            adaptive.Cell(hex::LatLngToCell(position, res))) {
       if (resolution != nullptr) *resolution = res;
-      return &it->second;
+      return summary;
     }
   }
   // Containment is approximate near boundaries: fall back to the finest
   // level's immediate neighbours.
-  const hex::CellIndex fine_cell = hex::LatLngToCell(position, fine_res_);
+  const hex::CellIndex fine_cell = hex::LatLngToCell(position, fine_res);
   for (const hex::CellIndex neighbor : hex::Neighbors(fine_cell)) {
-    const auto it = cells_.find(neighbor);
-    if (it != cells_.end()) {
-      if (resolution != nullptr) *resolution = fine_res_;
-      return &it->second;
+    if (const CellSummary* summary = adaptive.Cell(neighbor)) {
+      if (resolution != nullptr) *resolution = fine_res;
+      return summary;
     }
   }
   return nullptr;
-}
-
-AdaptiveStats AdaptiveInventory::Stats(uint64_t fine_cells) const {
-  AdaptiveStats stats;
-  stats.cells = cells_.size();
-  for (const auto& [cell, summary] : cells_) {
-    stats.records += summary.record_count();
-    ++stats.cells_per_resolution[hex::CellResolution(cell)];
-  }
-  stats.cell_reduction =
-      fine_cells == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(stats.cells) /
-                      static_cast<double>(fine_cells);
-  return stats;
 }
 
 }  // namespace pol::core

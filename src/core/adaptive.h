@@ -1,9 +1,7 @@
 #ifndef POL_CORE_ADAPTIVE_H_
 #define POL_CORE_ADAPTIVE_H_
 
-#include <map>
-#include <unordered_map>
-#include <vector>
+#include <cstdint>
 
 #include "core/inventory.h"
 
@@ -19,61 +17,31 @@
 // split into its children only while it carries at least
 // `dense_threshold` records and has not reached the fine resolution.
 // The emitted cells form a (near-)partition of the covered area at mixed
-// resolutions.
+// resolutions, and they are the (cell) grouping set of an ordinary
+// Inventory: it seals, serializes, publishes and serves like any other.
 //
 // Note on exactness: parent/child containment in the grid is
 // approximate (as in H3), so a point close to a cell boundary can fall
-// into a sibling at the finer level; Lookup therefore probes the
+// into a sibling at the finer level; AdaptiveLookup therefore probes the
 // coarse-to-fine ancestor chain and falls back to the point's immediate
 // neighbours at the finest level.
 
 namespace pol::core {
 
-struct AdaptiveStats {
-  uint64_t cells = 0;
-  uint64_t records = 0;
-  // Cells per resolution level.
-  std::map<int, uint64_t> cells_per_resolution;
-  // Size relative to the uniform fine inventory it was built from.
-  double cell_reduction = 0.0;  // 1 - adaptive_cells / fine_cells.
-};
-
-class AdaptiveInventory {
- public:
-  // Builds from the (cell) grouping set of a uniform inventory at
-  // `fine.resolution()`. Cells coarser than `coarse_res` are never
-  // produced; `dense_threshold` is the record count above which a cell
-  // keeps its children.
-  static AdaptiveInventory Build(const Inventory& fine, int coarse_res,
+// Builds from the (cell) grouping set of a uniform inventory (a build
+// side or a served snapshot) at `fine.resolution()`. The result is at
+// that resolution too, and its (cell) set holds the cut's cells. Cells
+// coarser than `coarse_res` are never produced; `dense_threshold` is
+// the record count at which a cell keeps its children.
+Inventory BuildAdaptiveInventory(const InventoryQuery& fine, int coarse_res,
                                  uint64_t dense_threshold);
 
-  // The summary of the (variable-resolution) cell containing `position`,
-  // and the resolution it was answered at; nullptr when uncovered.
-  const CellSummary* Lookup(const geo::LatLng& position,
-                            int* resolution = nullptr) const;
-
-  size_t size() const { return cells_.size(); }
-  int coarse_res() const { return coarse_res_; }
-  int fine_res() const { return fine_res_; }
-
-  AdaptiveStats Stats(uint64_t fine_cells) const;
-
-  // All cells (mixed resolutions) with their summaries.
-  const std::unordered_map<hex::CellIndex, CellSummary>& cells() const {
-    return cells_;
-  }
-
- private:
-  AdaptiveInventory(int coarse_res, int fine_res,
-                    std::unordered_map<hex::CellIndex, CellSummary> cells)
-      : coarse_res_(coarse_res),
-        fine_res_(fine_res),
-        cells_(std::move(cells)) {}
-
-  int coarse_res_;
-  int fine_res_;
-  std::unordered_map<hex::CellIndex, CellSummary> cells_;
-};
+// The summary of the (variable-resolution) cell of `adaptive` that
+// contains `position`, and the resolution it was answered at; nullptr
+// when uncovered. `coarse_res` is the one the inventory was built with.
+const CellSummary* AdaptiveLookup(const InventoryQuery& adaptive,
+                                  const geo::LatLng& position, int coarse_res,
+                                  int* resolution = nullptr);
 
 }  // namespace pol::core
 

@@ -23,7 +23,6 @@ namespace pol::core {
 struct ExtractorConfig {
   int resolution = 6;
   // Which grouping sets of Table 2 to materialize.
-  bool gi_cell = true;
   bool gi_cell_type = true;
   bool gi_cell_route_type = true;
   SummaryParams summary_params;

@@ -27,10 +27,7 @@ void InventoryBuilder::Fold(const flow::Dataset<PipelineRecord>& projected) {
     for (const PipelineRecord& record :
          projected.partition(static_cast<int>(p))) {
       if (record.cell == hex::kInvalidCell) continue;
-      if (config_.gi_cell) {
-        local.try_emplace(KeyCell(record.cell), params)
-            .first->second.Add(record);
-      }
+      local.try_emplace(KeyCell(record.cell), params).first->second.Add(record);
       if (config_.gi_cell_type) {
         local.try_emplace(KeyCellType(record.cell, record.segment), params)
             .first->second.Add(record);

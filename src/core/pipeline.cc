@@ -11,6 +11,7 @@
 #include "core/run_report.h"
 #include "obs/clock.h"
 #include "obs/trace.h"
+#include "store/atomic_file.h"
 
 namespace pol::core {
 
@@ -178,7 +179,6 @@ PipelineResult RunPipelineImpl(
   Runner::Options options;
   options.max_in_flight = config.max_in_flight_chunks;
   options.max_attempts = config.max_attempts;
-  options.retry_backoff_seconds = config.retry_backoff_seconds;
   options.fail_fast = config.fail_fast;
   flow::StageMetricsCollector stage_metrics;
   Runner runner(
@@ -275,7 +275,7 @@ PipelineResult RunPipeline(const std::vector<ais::PositionReport>& reports,
   result.wall_seconds = obs::NowSeconds() - run_start;
   if (tracing) {
     obs::TraceRecorder::Global().Stop();
-    const Status written = WriteRunArtifact(
+    const Status written = store::WriteFileDurable(
         config.obs.trace_path,
         obs::TraceRecorder::Global().ExportChromeTraceJson());
     if (!written.ok()) {

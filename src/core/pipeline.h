@@ -71,9 +71,6 @@ struct PipelineConfig {
   // Total stage-chain attempts per chunk before it is quarantined
   // (>= 1; 1 = no retry and no defensive input copy).
   int max_attempts = 1;
-  // Exponential backoff base between chunk retries; 0 retries
-  // immediately.
-  double retry_backoff_seconds = 0.0;
   // Abort the run on the first exhausted chunk (or failed checkpoint
   // write) instead of quarantining and continuing. Leaves snapshots on
   // disk — the crash-simulation mode of the fault-injection suite.

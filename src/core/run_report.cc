@@ -1,10 +1,8 @@
 #include "core/run_report.h"
 
-#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 
 #include "core/serving_guard.h"
@@ -33,7 +31,6 @@ obs::Json ConfigToJson(const PipelineConfig& config) {
   out.Set("chunks", config.chunks);
   out.Set("max_in_flight_chunks", config.max_in_flight_chunks);
   out.Set("max_attempts", config.max_attempts);
-  out.Set("retry_backoff_seconds", config.retry_backoff_seconds);
   out.Set("fail_fast", config.fail_fast);
   out.Set("max_speed_knots", config.max_speed_knots);
   out.Set("commercial_only", config.commercial_only);
@@ -232,17 +229,8 @@ obs::Json BuildRunReport(const PipelineConfig& config,
 
 Status WriteRunReport(const std::string& path, const PipelineConfig& config,
                       const PipelineResult& result) {
-  return WriteRunArtifact(path, BuildRunReport(config, result).Dump(2) + "\n");
-}
-
-Status WriteRunArtifact(const std::string& path, std::string_view text) {
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    // A failed create only matters if the write below fails too.
-    std::error_code ec;
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  return store::WriteFileDurable(path, text);
+  return store::WriteFileDurable(
+      path, BuildRunReport(config, result).Dump(2) + "\n");
 }
 
 }  // namespace pol::core

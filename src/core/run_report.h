@@ -2,7 +2,6 @@
 #define POL_CORE_RUN_REPORT_H_
 
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 #include "core/pipeline.h"
@@ -45,10 +44,6 @@ obs::Json BuildRunReport(const PipelineConfig& config,
 // Builds and writes the report to `path` (durable, pretty-printed).
 Status WriteRunReport(const std::string& path, const PipelineConfig& config,
                       const PipelineResult& result);
-
-// Writes one run artifact (the report, the trace export) through
-// store::WriteFileDurable, creating missing parent directories first.
-Status WriteRunArtifact(const std::string& path, std::string_view text);
 
 }  // namespace pol::core
 

@@ -16,6 +16,7 @@
 #include "obs/clock.h"
 #include "obs/openmetrics.h"
 #include "obs/trace.h"
+#include "store/atomic_file.h"
 
 namespace pol::core {
 namespace {
@@ -324,11 +325,12 @@ Status ServingGuard::TickTelemetry(const std::string& openmetrics_path) {
     telemetry_exports_->Increment();
     return Status::OK();
   }
-  std::string error;
-  if (!obs::WriteOpenMetricsFile(openmetrics_path,
-                                 obs::Registry::Global().Snapshot(), &error)) {
+  const Status written = store::WriteFileDurable(
+      openmetrics_path,
+      obs::RenderOpenMetrics(obs::Registry::Global().Snapshot()));
+  if (!written.ok()) {
     telemetry_export_failures_->Increment();
-    return Status::IoError("openmetrics export failed: " + error);
+    return Status::IoError("openmetrics export failed: " + written.message());
   }
   telemetry_exports_->Increment();
   return Status::OK();

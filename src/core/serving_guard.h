@@ -93,8 +93,9 @@
 // bench_serving_telemetry holds the whole package — windows, query
 // log, exporter — to <2% on the same hot path. The optional exporter
 // thread (StartTelemetryExporter) periodically refreshes the gauges,
-// evaluates the SLOs, and atomically rewrites an OpenMetrics text file
-// `polinv watch` or any Prometheus-style scraper can tail.
+// evaluates the SLOs, and durably rewrites (store::WriteFileDurable)
+// an OpenMetrics text file `polinv watch` or any Prometheus-style
+// scraper can tail.
 
 namespace pol::core {
 
@@ -125,7 +126,8 @@ struct ServingGuardOptions {
 
 // The periodic exporter owned by ServingGuard: each tick refreshes the
 // windowed gauges, evaluates the SLOs, and (when a path is set)
-// atomically replaces an OpenMetrics rendering of the whole Registry.
+// durably replaces an OpenMetrics rendering of the whole Registry
+// (store::WriteFileDurable).
 struct TelemetryExporterOptions {
   // Export file path; empty keeps the tick gauges-only.
   std::string openmetrics_path;

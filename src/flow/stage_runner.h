@@ -2,13 +2,11 @@
 #define POL_FLOW_STAGE_RUNNER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,19 +32,19 @@
 //
 // Failure containment. A chunk whose attempt returns a
 // *retryable* error (Status::IsRetryable() — transient infrastructure
-// faults; caller errors go straight to quarantine) is retried up to
-// `max_attempts` times total, with exponential backoff between
-// attempts (the input is defensively copied for every attempt
-// except the last, so a retry always sees the original bytes). A chunk
-// that exhausts its attempts is *quarantined*: the run continues, the
-// failure is recorded as a ChunkFailure dead letter in the RunSummary
-// (and reported through `on_quarantine` in ascending chunk order). With
-// `fail_fast` set, the first exhausted chunk aborts the run instead —
-// the mode the checkpoint/resume layer uses to simulate a crash. The
-// sink returns a Status; a non-OK sink (e.g. a failed checkpoint write
-// in fail-fast mode) also aborts the run. On every abort path — and
-// when the sink throws — all in-flight pool tasks are drained before
-// Run returns, so no task is left referencing the call's stack frame.
+// faults; caller errors go straight to quarantine) is retried at once,
+// up to `max_attempts` times total (the input is defensively copied for
+// every attempt except the last, so a retry always sees the original
+// bytes). A chunk that exhausts its attempts is *quarantined*: the run
+// continues, the failure is recorded as a ChunkFailure dead letter in
+// the RunSummary (and reported through `on_quarantine` in ascending
+// chunk order). With `fail_fast` set, the first exhausted chunk aborts
+// the run instead — the mode the checkpoint/resume layer uses to
+// simulate a crash. The sink returns a Status; a non-OK sink (e.g. a
+// failed checkpoint write in fail-fast mode) also aborts the run. On
+// every abort path — and when the sink throws — all in-flight pool
+// tasks are drained before Run returns, so no task is left referencing
+// the call's stack frame.
 
 namespace pol::flow {
 
@@ -94,9 +92,6 @@ class StageRunner {
     // attempts 1..N-1 run on a copy of the input chunk, so peak memory
     // gains up to one extra input chunk per in-flight chunk.
     int max_attempts = 1;
-    // Backoff before retry r (1-based) is retry_backoff_seconds *
-    // 2^(r-1), slept on the pool task. 0 = immediate retry (tests).
-    double retry_backoff_seconds = 0.0;
     // Abort the run on the first chunk that exhausts its attempts,
     // instead of quarantining it and continuing.
     bool fail_fast = false;
@@ -254,16 +249,10 @@ class StageRunner {
       // Retryability is centralized in Status::IsRetryable() (shared
       // with the serving-side refresh circuit breaker): a caller error
       // like kInvalidArgument fails identically on every attempt, so
-      // burning the remaining attempts — and the backoff sleeps — on it
-      // only delays the quarantine decision.
+      // burning the remaining attempts on it only delays the quarantine
+      // decision.
       if (!slot->status.IsRetryable()) return;
       retries->fetch_add(1);
-      if (options_.retry_backoff_seconds > 0.0) {
-        const double factor =
-            static_cast<double>(uint64_t{1} << std::min(attempt - 1, 62));
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            options_.retry_backoff_seconds * factor));
-      }
     }
   }
 

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/report.h"
-
 namespace pol::obs {
 namespace {
 
@@ -104,12 +102,6 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot) {
   }
   out += "# EOF\n";
   return out;
-}
-
-bool WriteOpenMetricsFile(const std::string& path,
-                          const MetricsSnapshot& snapshot,
-                          std::string* error) {
-  return WriteTextFileAtomic(path, RenderOpenMetrics(snapshot), error);
 }
 
 std::vector<OpenMetricsSample> ParseOpenMetrics(std::string_view text) {

@@ -11,8 +11,9 @@
 // OpenMetrics text exposition for a MetricsSnapshot: the serving
 // telemetry exporter (core/serving_guard.h) renders the whole Registry
 // — windowed quantile/QPS/SLO gauges included, since those are
-// published as plain gauges — into an atomically-replaced text file
-// any Prometheus-style scraper (or `polinv watch`) can read.
+// published as plain gauges — into a text file any Prometheus-style
+// scraper (or `polinv watch`) can read. The guard writes that file
+// through store::WriteFileDurable; obs only renders and parses.
 //
 // Mapping: dotted names are sanitized ('.' and any other illegal
 // character become '_'), counters render as `<name>_total`, gauges
@@ -31,11 +32,6 @@ namespace pol::obs {
 std::string OpenMetricsName(std::string_view name);
 
 std::string RenderOpenMetrics(const MetricsSnapshot& snapshot);
-
-// RenderOpenMetrics + atomic file replace (obs/report.h semantics).
-bool WriteOpenMetricsFile(const std::string& path,
-                          const MetricsSnapshot& snapshot,
-                          std::string* error);
 
 // One parsed sample line: `name{label="value",...} 42`.
 struct OpenMetricsSample {

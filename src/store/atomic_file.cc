@@ -65,6 +65,31 @@ Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
   return Status::OK();
 }
 
+// The directory holding `path` ("." for a bare file name).
+std::string ParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return path.substr(0, slash == 0 ? 1 : slash);
+}
+
+// Creates `dir` and its missing ancestors. Each new directory's parent
+// is synced, so the created path is as durable as the file put in it.
+Status CreateDirectories(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0755) != 0) {
+    if (errno == EEXIST) return Status::OK();
+    if (errno != ENOENT) return Errno("mkdir", dir);
+    POL_RETURN_IF_ERROR(CreateDirectories(ParentDir(dir)));
+    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+      return Errno("mkdir", dir);
+    }
+  }
+  return SyncDirectory(ParentDir(dir));
+}
+
+int OpenForWrite(const std::string& path) {
+  return ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+}
+
 }  // namespace
 
 Status WriteFileDurable(const std::string& path, std::string_view bytes) {
@@ -72,8 +97,13 @@ Status WriteFileDurable(const std::string& path, std::string_view bytes) {
   {
     Status injected = POL_FAILPOINT(kFailPointStoreWrite);
     if (!injected.ok()) return injected;
-    const int raw =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    int raw = OpenForWrite(tmp);
+    if (raw < 0 && errno == ENOENT) {
+      // Only a missing directory costs the extra syscalls: a write into
+      // an existing one (every snapshot publish) opens exactly once.
+      POL_RETURN_IF_ERROR(CreateDirectories(ParentDir(path)));
+      raw = OpenForWrite(tmp);
+    }
     if (raw < 0) return Errno("open", tmp);
     Fd fd(raw);
     Status written = WriteAll(fd.get(), bytes, tmp);
@@ -97,11 +127,7 @@ Status WriteFileDurable(const std::string& path, std::string_view bytes) {
     return failed;
   }
   // Make the rename itself durable: sync the containing directory.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  return SyncDirectory(dir);
+  return SyncDirectory(ParentDir(path));
 }
 
 Status ReadFileToString(const std::string& path, std::string* out) {

@@ -7,12 +7,12 @@
 
 #include "common/status.h"
 
-// Durable, atomic file publication for the snapshot store. Unlike
-// obs::WriteTextFileAtomic (tmp + rename, best-effort, used for
-// telemetry exports where a torn write costs nothing), the store's
-// files are the product: a publish must be *durable* before it becomes
-// visible, so readers can never open a generation whose bytes might
-// still be in the page cache only. The sequence is the classic one:
+// Durable, atomic file publication: the one way a file is written in
+// src/. Snapshot generations, checkpoints, run reports, trace exports,
+// the periodic OpenMetrics export and the bench summaries all come
+// through here. A write must be *durable* before it becomes visible,
+// so readers can never open a file whose bytes might still be in the
+// page cache only. The sequence is the classic one:
 //
 //   open(path.tmp) -> write -> fsync(file) -> close
 //     -> rename(path.tmp, path) -> fsync(parent dir)
@@ -22,15 +22,17 @@
 // the file data is safe. Fail points `store.write` / `store.rename`
 // bracket the torn-publish window for the chaos tests.
 //
-// src/store/ is the one layer where raw std::ofstream / fopen is a
-// pollint banned-call finding — everything durable must come through
-// here.
+// Raw std::ofstream / fopen anywhere in src/ is a pollint banned-call
+// finding — everything written must come through here.
 
 namespace pol::store {
 
 // Atomically and durably replaces `path` with `bytes`. The temp file is
 // `path + ".tmp"`; on any failure the temp file is unlinked and `path`
-// is left untouched (either the old content or still absent).
+// is left untouched (either the old content or still absent). When the
+// temp file cannot be opened because its directory is missing, the
+// missing directories are created (and synced) and the open is retried
+// once; a write into an existing directory opens exactly once.
 Status WriteFileDurable(const std::string& path, std::string_view bytes);
 
 // Reads the entire file into `out` (replacing its contents). NotFound

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/report.h"
+#include "store/atomic_file.h"
 
 namespace pol::bench {
 namespace {
@@ -196,9 +197,10 @@ class SummaryTest : public ::testing::Test {
 
 obs::Json ReadJson(const std::string& path) {
   std::string text;
+  const Status read = store::ReadFileToString(path, &text);
+  EXPECT_TRUE(read.ok()) << read.ToString();
   std::string error;
   obs::Json json;
-  EXPECT_TRUE(obs::ReadTextFile(path, &text, &error)) << error;
   EXPECT_TRUE(obs::Json::Parse(text, &json, &error)) << error;
   return json;
 }
@@ -261,8 +263,7 @@ TEST_F(SummaryTest, BenchLineEqualsTheFile) {
 
 TEST_F(SummaryTest, FailedWriteIsNonZero) {
   // The summary's parent directory is a regular file.
-  std::string error;
-  ASSERT_TRUE(obs::WriteTextFileAtomic("blocker", "", &error)) << error;
+  ASSERT_TRUE(std::ofstream("blocker").good());
   char arg0[] = "bench_harness";
   char arg1[] = "--report-out=blocker/summary.json";
   char* argv[] = {arg0, arg1};

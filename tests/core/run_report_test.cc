@@ -17,8 +17,8 @@
 #include "core/pipeline.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "sim/fleet.h"
+#include "store/atomic_file.h"
 
 namespace pol::core {
 namespace {
@@ -35,8 +35,9 @@ sim::SimulationOutput SmallArchive() {
 
 obs::Json MustParseFile(const std::string& path) {
   std::string text;
+  const Status read = store::ReadFileToString(path, &text);
+  EXPECT_TRUE(read.ok()) << read.ToString();
   std::string error;
-  EXPECT_TRUE(obs::ReadTextFile(path, &text, &error)) << error;
   obs::Json document;
   EXPECT_TRUE(obs::Json::Parse(text, &document, &error)) << error;
   return document;

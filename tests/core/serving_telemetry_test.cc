@@ -317,6 +317,26 @@ TEST(ServingTelemetryTest, TickTelemetryWritesOpenMetrics) {
   std::remove(path.c_str());
 }
 
+TEST(ServingTelemetryTest, TickTelemetryReportsUnwritablePath) {
+  ServingInventory store(Batch(0, 2));
+  ServingGuard guard(&store);
+  // A path whose parent component is a regular file fails for every
+  // caller (even root), unlike a missing directory the writer creates.
+  const std::string blocker =
+      testing::TempDir() + "serving_telemetry_test_blocker";
+  ASSERT_TRUE(std::ofstream(blocker).good());
+  const uint64_t exports_before = CounterValue(kMetricServingTelemetryExports);
+  const uint64_t failures_before =
+      CounterValue(kMetricServingTelemetryExportFailures);
+
+  const Status ticked = guard.TickTelemetry(blocker + "/metrics.txt");
+  EXPECT_EQ(ticked.code(), StatusCode::kIoError) << ticked.ToString();
+  EXPECT_EQ(CounterValue(kMetricServingTelemetryExportFailures),
+            failures_before + 1);
+  EXPECT_EQ(CounterValue(kMetricServingTelemetryExports), exports_before);
+  std::remove(blocker.c_str());
+}
+
 TEST(ServingTelemetryTest, ExporterThreadLifecycle) {
   ServingInventory store(Batch(0, 2));
   ServingGuard guard(&store);

@@ -1,16 +1,14 @@
 // OpenMetrics exposition: name sanitization, the counter/_total and
 // gauge/histogram renderings of a MetricsSnapshot, the mandatory
-// trailing "# EOF", the tolerant line parser used by `polinv watch`,
-// and the atomic file write — all round-tripped through ParseOpenMetrics.
+// trailing "# EOF" and the tolerant line parser used by `polinv watch`
+// — all round-tripped through ParseOpenMetrics. The file the guard
+// writes is covered by serving_telemetry_test.
 
 #include "obs/openmetrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,43 +134,6 @@ TEST(OpenMetricsParseTest, ToleratesCommentsBlanksAndJunk) {
   EXPECT_DOUBLE_EQ(samples[1].value, 2.5);
   EXPECT_EQ(samples[2].name, "d");
   EXPECT_GT(samples[2].value, 1e300);  // +Inf sentinel.
-}
-
-TEST(OpenMetricsFileTest, WritesParseableFileAtomically) {
-  Registry registry;
-  registry.counter("om.file.writes")->Increment(11);
-  const std::string path =
-      testing::TempDir() + "openmetrics_test_metrics.txt";
-  std::string error;
-  ASSERT_TRUE(WriteOpenMetricsFile(path, registry.Snapshot(), &error))
-      << error;
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-  const OpenMetricsSample* writes =
-      FindSample(ParseOpenMetrics(text), "om_file_writes_total");
-  ASSERT_NE(writes, nullptr);
-  EXPECT_DOUBLE_EQ(writes->value, 11.0);
-  std::remove(path.c_str());
-}
-
-TEST(OpenMetricsFileTest, ReportsUnwritablePath) {
-  // A path whose parent component is a regular file fails for every
-  // caller (even root), unlike a missing directory the writer may create.
-  const std::string blocker = testing::TempDir() + "openmetrics_blocker";
-  {
-    std::ofstream out(blocker);
-    ASSERT_TRUE(out.good());
-  }
-  std::string error;
-  EXPECT_FALSE(WriteOpenMetricsFile(blocker + "/metrics.txt",
-                                    MetricsSnapshot{}, &error));
-  EXPECT_FALSE(error.empty());
-  std::remove(blocker.c_str());
 }
 
 }  // namespace

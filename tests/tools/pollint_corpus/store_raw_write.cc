@@ -1,7 +1,7 @@
 // Corpus: raw buffered file output in the persistence layer. Linted
 // three times by pollint_test: under a src/store/ or src/core/ virtual
-// path every raw write below is a banned-call finding; under src/obs/
-// the rule stays silent (telemetry exports may buffer freely).
+// path every raw write below is a banned-call finding; under tools/
+// the rule stays silent (outside src/, tools may buffer freely).
 #include <cstdio>
 #include <fstream>
 

@@ -71,8 +71,16 @@ TEST(PollintCorpusTest, StoreRawWriteBannedInCore) {
             expected);
 }
 
-TEST(PollintCorpusTest, StoreRawWriteAllowedOutsideStore) {
-  EXPECT_TRUE(Lint("store_raw_write.cc", "src/obs/store_raw_write.cc").empty());
+TEST(PollintCorpusTest, RawWriteBannedInObs) {
+  const std::vector<RuleLine> expected = {{"banned-call", 12}};
+  EXPECT_EQ(Lint("obs_raw_write.cc", "src/obs/obs_raw_write.cc"), expected);
+}
+
+TEST(PollintCorpusTest, RawWriteAllowedOutsideSrc) {
+  EXPECT_TRUE(
+      Lint("store_raw_write.cc", "tools/corpus/store_raw_write.cc").empty());
+  EXPECT_TRUE(
+      Lint("obs_raw_write.cc", "tools/corpus/obs_raw_write.cc").empty());
 }
 
 TEST(PollintCorpusTest, StdoutIoInLibraryCode) {

@@ -45,8 +45,8 @@
 #include "hexgrid/hexgrid.h"
 #include "obs/json.h"
 #include "obs/openmetrics.h"
-#include "obs/report.h"
 #include "sim/ports.h"
+#include "store/atomic_file.h"
 #include "store/mapped_file.h"
 #include "store/snapshot_format.h"
 #include "store/snapshot_store.h"
@@ -428,15 +428,15 @@ int CmdWatch(int argc, char** argv) {
   int exit_code = 0;
   for (uint64_t tick = 1; iterations == 0 || tick <= iterations; ++tick) {
     std::string text;
-    std::string error;
     if (clear_screen) std::printf("\033[H\033[2J");
-    if (obs::ReadTextFile(path, &text, &error)) {
+    const Status read = store::ReadFileToString(path, &text);
+    if (read.ok()) {
       RenderWatchFrame(obs::ParseOpenMetrics(text), path, tick);
       exit_code = 0;
     } else {
       // The exporter may not have written its first file yet; keep
       // polling. Exit 2 only if a bounded run never saw one.
-      std::printf("waiting for %s (%s)\n", path, error.c_str());
+      std::printf("waiting for %s (%s)\n", path, read.message().c_str());
       exit_code = 2;
     }
     std::fflush(stdout);
@@ -517,11 +517,13 @@ int CmdSnapshots(const char* dir) {
 // digest.
 int CmdReport(const char* path) {
   std::string text;
-  std::string error;
-  if (!obs::ReadTextFile(path, &text, &error)) {
-    std::fprintf(stderr, "cannot read %s: %s\n", path, error.c_str());
+  const Status read = store::ReadFileToString(path, &text);
+  if (!read.ok()) {
+    std::fprintf(stderr, "cannot read %s: %s\n", path,
+                 read.message().c_str());
     return 2;
   }
+  std::string error;
   obs::Json report;
   if (!obs::Json::Parse(text, &report, &error)) {
     std::fprintf(stderr, "cannot parse %s: %s\n", path, error.c_str());

@@ -303,12 +303,12 @@ class Linter {
                    "non-deterministic); use common/rng or common/time_util");
       }
     }
-    // The persistence layer and the core above it must never write
-    // through buffered stream APIs: a torn ofstream write is exactly
-    // the corruption class the store exists to rule out. Every file
-    // they write (generations, checkpoints, saved inventories, run
-    // reports, traces) goes through the temp + fsync + rename helpers.
-    if (StartsWith(path_, "src/store/") || StartsWith(path_, "src/core/")) {
+    // Library code never writes through buffered stream APIs: a torn
+    // ofstream write is exactly the corruption class the store exists
+    // to rule out. Every file src/ writes (generations, checkpoints,
+    // run reports, traces, the OpenMetrics export) goes through the
+    // temp + fsync + rename writer.
+    if (StartsWith(path_, "src/")) {
       static const std::regex kRawWrite(
           R"((^|[^\w.:>])((std::)?(ofstream|fstream)\b|fopen\s*\())");
       static const std::regex kInclude(R"(^\s*#\s*include\b)");
@@ -318,9 +318,9 @@ class Linter {
         std::smatch match;
         if (std::regex_search(lines_[i].code, match, kRawWrite)) {
           Report(i, "banned-call",
-                 "raw file output is banned in src/store/ and "
-                 "src/core/; durable writes go through store/atomic_file.h "
-                 "(WriteFileDurable: temp + fsync + rename)");
+                 "raw file output is banned in src/; every write goes "
+                 "through store/atomic_file.h (WriteFileDurable: temp + "
+                 "fsync + rename)");
         }
       }
     }
