@@ -8,17 +8,17 @@
 
 namespace pol::core {
 
-CellSummary::CellSummary(const SummaryParams& params)
-    : ships_(params.hll_precision),
-      trips_(params.hll_precision),
+CellSummary::CellSummary()
+    : ships_(kSummaryHllPrecision),
+      trips_(kSummaryHllPrecision),
       course_bins_(stats::Histogram::ForDegrees30()),
       heading_bins_(stats::Histogram::ForDegrees30()),
-      speed_q_(params.tdigest_compression),
-      eto_q_(params.tdigest_compression),
-      ata_q_(params.tdigest_compression),
-      origins_(params.topn_capacity),
-      destinations_(params.topn_capacity),
-      transitions_(params.topn_capacity) {}
+      speed_q_(kSummaryTDigestCompression),
+      eto_q_(kSummaryTDigestCompression),
+      ata_q_(kSummaryTDigestCompression),
+      origins_(kSummaryTopNCapacity),
+      destinations_(kSummaryTopNCapacity),
+      transitions_(kSummaryTopNCapacity) {}
 
 void CellSummary::Add(const PipelineRecord& record) {
   ++record_count_;

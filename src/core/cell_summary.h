@@ -33,18 +33,17 @@
 
 namespace pol::core {
 
-// Size/accuracy knobs. Inventories hold millions of summaries, so the
-// defaults favour compactness; the error envelopes stay well inside what
-// the use cases need (see the accuracy tests).
-struct SummaryParams {
-  double tdigest_compression = 25.0;
-  size_t topn_capacity = 12;
-  int hll_precision = 10;
-};
+// Size/accuracy constants. Inventories hold millions of summaries, so
+// they favour compactness; the error envelopes stay well inside what
+// the use cases need (see the accuracy tests). They fix the summary
+// bytes, so changing one changes every stored image.
+inline constexpr double kSummaryTDigestCompression = 25.0;
+inline constexpr size_t kSummaryTopNCapacity = 12;
+inline constexpr int kSummaryHllPrecision = 10;
 
 class CellSummary {
  public:
-  explicit CellSummary(const SummaryParams& params = SummaryParams());
+  CellSummary();
 
   // Folds one trip-annotated record. Unavailable kinematic fields are
   // skipped; transition/next-cell is recorded when present.

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,12 +49,12 @@ std::string EncodeMeta(const CheckpointState& state) {
   PutVarint64(&out, state.cursor);
   PutVarint64(&out, state.total_chunks);
   PutVarint64(&out, state.quarantined.size());
-  for (const CheckpointQuarantineEntry& entry : state.quarantined) {
-    PutVarint64(&out, entry.chunk_index);
-    PutVarint64(&out, entry.records);
-    PutVarint64(&out, entry.attempts);
-    PutVarint64(&out, static_cast<uint64_t>(entry.code));
-    PutLengthPrefixed(&out, entry.message);
+  for (const flow::ChunkFailure& failure : state.quarantined) {
+    PutVarint64(&out, failure.chunk_index);
+    PutVarint64(&out, failure.records);
+    PutVarint64(&out, static_cast<uint64_t>(failure.attempts));
+    PutVarint64(&out, static_cast<uint64_t>(failure.status.code()));
+    PutLengthPrefixed(&out, failure.status.message());
   }
   for (const uint64_t* field : StatFields(state)) PutVarint64(&out, *field);
   PutVarint64(&out, state.folding.chunks);
@@ -88,29 +89,37 @@ Result<LoadedCheckpoint> DecodeCheckpoint(
     return BadMeta("more quarantined chunks than accounted ones");
   }
   for (uint64_t i = 0; i < quarantine_count; ++i) {
-    CheckpointQuarantineEntry entry;
+    flow::ChunkFailure failure;
+    uint64_t chunk_index = 0;
+    uint64_t attempts = 0;
     uint64_t code = 0;
-    POL_RETURN_IF_ERROR(ReadVarint(&meta, &entry.chunk_index, "chunk index"));
-    POL_RETURN_IF_ERROR(ReadVarint(&meta, &entry.records, "records"));
-    POL_RETURN_IF_ERROR(ReadVarint(&meta, &entry.attempts, "attempts"));
+    POL_RETURN_IF_ERROR(ReadVarint(&meta, &chunk_index, "chunk index"));
+    POL_RETURN_IF_ERROR(ReadVarint(&meta, &failure.records, "records"));
+    POL_RETURN_IF_ERROR(ReadVarint(&meta, &attempts, "attempts"));
     POL_RETURN_IF_ERROR(ReadVarint(&meta, &code, "status code"));
-    if (entry.chunk_index >= state.cursor) {
+    if (chunk_index >= state.cursor) {
       return BadMeta("quarantined chunk at or past the cursor");
     }
     if (!state.quarantined.empty() &&
-        entry.chunk_index <= state.quarantined.back().chunk_index) {
+        chunk_index <= state.quarantined.back().chunk_index) {
       return BadMeta("quarantined chunk indices not increasing");
+    }
+    if (attempts < 1 ||
+        attempts > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return BadMeta("bad attempts " + std::to_string(attempts));
     }
     if (code > static_cast<uint64_t>(kMaxStatusCode)) {
       return BadMeta("bad status code " + std::to_string(code));
     }
-    entry.code = static_cast<StatusCode>(code);
     std::string_view message;
     if (!GetLengthPrefixed(&meta, &message).ok()) {
       return BadMeta("truncated at message");
     }
-    entry.message = std::string(message);
-    state.quarantined.push_back(std::move(entry));
+    failure.chunk_index = static_cast<size_t>(chunk_index);
+    failure.attempts = static_cast<int>(attempts);
+    failure.status =
+        Status(static_cast<StatusCode>(code), std::string(message));
+    state.quarantined.push_back(std::move(failure));
   }
   for (uint64_t* field : StatFields(state)) {
     POL_RETURN_IF_ERROR(ReadVarint(&meta, field, "stage stats"));

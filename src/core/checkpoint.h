@@ -11,6 +11,7 @@
 #include "core/enrich.h"
 #include "core/inventory_builder.h"
 #include "core/trips.h"
+#include "flow/stage_runner.h"
 #include "store/mapped_file.h"
 #include "store/snapshot_store.h"
 
@@ -56,7 +57,8 @@
 // torn, corrupt and rejected generations and counts each skip in
 // `store.fallbacks`. The meta decode rejects inconsistent state (cursor
 // past the chunk count, more quarantined chunks than accounted ones,
-// unordered or out-of-range ledger entries) and any other meta version
+// unordered or out-of-range ledger entries, attempts outside
+// [1, INT_MAX]) and any other meta version
 // as kDataLoss, so such a generation is fallen back past too: a
 // directory holding only version-1 or version-2 generations starts a
 // fresh run. A
@@ -86,21 +88,13 @@ struct CheckpointConfig {
   int keep = 2;
 };
 
-// One quarantined chunk as persisted in a snapshot, so a resumed run
-// still reports full-run coverage.
-struct CheckpointQuarantineEntry {
-  uint64_t chunk_index = 0;
-  uint64_t records = 0;
-  uint64_t attempts = 0;
-  StatusCode code = StatusCode::kOk;
-  std::string message;
-};
-
 // Everything a snapshot carries besides the builder bytes.
 struct CheckpointMeta {
   uint64_t cursor = 0;        // Chunks accounted (folded or quarantined).
   uint64_t total_chunks = 0;  // Chunk count of the checkpointed run.
-  std::vector<CheckpointQuarantineEntry> quarantined;
+  // The run's dead letters so far, so a resumed run reports the
+  // quarantined chunks of the run it continues.
+  std::vector<flow::ChunkFailure> quarantined;
   // Stage stats summed over the chunks folded before the cursor, so a
   // resumed run reports the whole archive (paper Table 1).
   CleaningStats cleaning;

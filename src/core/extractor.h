@@ -25,7 +25,6 @@ struct ExtractorConfig {
   // Which grouping sets of Table 2 to materialize.
   bool gi_cell_type = true;
   bool gi_cell_route_type = true;
-  SummaryParams summary_params;
 };
 
 using SummaryMap =

@@ -16,7 +16,6 @@ void InventoryBuilder::Fold(const flow::Dataset<PipelineRecord>& projected) {
   POL_TRACE_SPAN("stage.extraction");
   const double start = obs::NowSeconds();
   const size_t partitions = static_cast<size_t>(projected.num_partitions());
-  const SummaryParams& params = config_.summary_params;
 
   // Map phase: per-partition grouping. Each record feeds up to three
   // grouping sets (Table 2).
@@ -27,16 +26,15 @@ void InventoryBuilder::Fold(const flow::Dataset<PipelineRecord>& projected) {
     for (const PipelineRecord& record :
          projected.partition(static_cast<int>(p))) {
       if (record.cell == hex::kInvalidCell) continue;
-      local.try_emplace(KeyCell(record.cell), params).first->second.Add(record);
+      local.try_emplace(KeyCell(record.cell)).first->second.Add(record);
       if (config_.gi_cell_type) {
-        local.try_emplace(KeyCellType(record.cell, record.segment), params)
+        local.try_emplace(KeyCellType(record.cell, record.segment))
             .first->second.Add(record);
       }
       if (config_.gi_cell_route_type && record.trip_id != 0) {
         local
             .try_emplace(KeyCellRouteType(record.cell, record.origin,
-                                          record.destination, record.segment),
-                         params)
+                                          record.destination, record.segment))
             .first->second.Add(record);
       }
     }

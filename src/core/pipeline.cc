@@ -65,30 +65,6 @@ Result<ProcessedChunk> ChunkProcessor::Run(
 
 namespace {
 
-// Converts a live dead letter to its persisted form and back, so a
-// resumed run reports restored quarantine entries exactly as the run
-// that recorded them did.
-CheckpointQuarantineEntry ToCheckpointEntry(
-    const flow::ChunkFailure& failure) {
-  CheckpointQuarantineEntry entry;
-  entry.chunk_index = failure.chunk_index;
-  entry.records = failure.records;
-  entry.attempts = static_cast<uint64_t>(failure.attempts);
-  entry.code = failure.status.code();
-  entry.message = failure.status.message();
-  return entry;
-}
-
-flow::ChunkFailure FromCheckpointEntry(
-    const CheckpointQuarantineEntry& entry) {
-  flow::ChunkFailure failure;
-  failure.chunk_index = static_cast<size_t>(entry.chunk_index);
-  failure.records = entry.records;
-  failure.attempts = static_cast<int>(entry.attempts);
-  failure.status = Status(entry.code, entry.message);
-  return failure;
-}
-
 // The pipeline proper; RunPipeline wraps it with the run-level
 // observability (trace recording, wall clock, report emission).
 PipelineResult RunPipelineImpl(
@@ -131,7 +107,7 @@ PipelineResult RunPipelineImpl(
   // t-digest buffers) on exactly the schedule an uninterrupted run
   // does; that shared schedule is what makes the two byte-identical.
   CheckpointManager checkpoints(config.checkpoint);
-  std::vector<CheckpointQuarantineEntry> quarantine_ledger;
+  std::vector<flow::ChunkFailure> quarantine_ledger;
   size_t start_chunk = 0;
   if (checkpoints.enabled()) {
     POL_TRACE_SPAN("pipeline.resume");
@@ -159,10 +135,10 @@ PipelineResult RunPipelineImpl(
       quarantine_ledger = std::move(restored->quarantined);
       result.coverage.resumed = true;
       result.coverage.resume_cursor = restored->cursor;
-      for (const CheckpointQuarantineEntry& entry : quarantine_ledger) {
-        result.quarantined.push_back(FromCheckpointEntry(entry));
+      for (const flow::ChunkFailure& failure : quarantine_ledger) {
+        result.quarantined.push_back(failure);
         ++result.coverage.chunks_quarantined;
-        result.coverage.records_quarantined += entry.records;
+        result.coverage.records_quarantined += failure.records;
       }
       result.coverage.chunks_folded =
           start_chunk - result.coverage.chunks_quarantined;
@@ -230,7 +206,7 @@ PipelineResult RunPipelineImpl(
       },
       start_chunk,
       [&](const flow::ChunkFailure& failure) {
-        quarantine_ledger.push_back(ToCheckpointEntry(failure));
+        quarantine_ledger.push_back(failure);
         ++cursor;
         // Status is advisory here: quarantine never happens in
         // fail_fast mode, so a failed snapshot is only counted.

@@ -1,6 +1,7 @@
 #include "core/port_calls.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/mutex.h"
@@ -8,25 +9,17 @@
 namespace pol::core {
 namespace {
 
-// True when the record is a stationary fence hit (same condition the
-// trip extractor uses for stops).
-bool IsStop(const PipelineRecord& record, const Geofencer& geofencer,
-            const PortCallConfig& config, sim::PortId* port) {
-  *port = geofencer.PortAt({record.lat_deg, record.lng_deg});
-  if (*port == sim::kNoPort) return false;
-  if (record.nav_status == ais::NavStatus::kMoored ||
-      record.nav_status == ais::NavStatus::kAtAnchor ||
-      record.nav_status == ais::NavStatus::kAground) {
-    return true;
-  }
-  return record.sog_knots < config.trip.stop_speed_knots;
-}
+// Two stationary periods in the same port merge into one call when the
+// gap between them is at most this (reception gaps, brief shifts along
+// the quay).
+constexpr int64_t kMergeGapSeconds = 12 * 3600;
+// Calls shorter than this are discarded as geofence noise.
+constexpr int64_t kMinDurationSeconds = 15 * 60;
 
 }  // namespace
 
 std::vector<PortCall> ExtractPortCalls(
-    const flow::Dataset<PipelineRecord>& records, const Geofencer& geofencer,
-    const PortCallConfig& config) {
+    const flow::Dataset<PipelineRecord>& records, const Geofencer& geofencer) {
   Mutex mutex;
   std::vector<PortCall> calls;
 
@@ -34,9 +27,9 @@ std::vector<PortCall> ExtractPortCalls(
       static_cast<size_t>(records.num_partitions()), [&](size_t p) {
         std::vector<PortCall> local;
         PortCall open;  // open.port == kNoPort means no call in progress.
-        auto close_call = [&local, &config](PortCall* call) {
+        auto close_call = [&local](PortCall* call) {
           if (call->port != sim::kNoPort &&
-              call->DurationSeconds() >= config.min_duration_s) {
+              call->DurationSeconds() >= kMinDurationSeconds) {
             local.push_back(*call);
           }
           call->port = sim::kNoPort;
@@ -46,19 +39,19 @@ std::vector<PortCall> ExtractPortCalls(
           if (open.port != sim::kNoPort && record.mmsi != open.mmsi) {
             close_call(&open);
           }
-          sim::PortId port = sim::kNoPort;
-          const bool stop = IsStop(record, geofencer, config, &port);
-          if (!stop) {
+          const sim::PortId port =
+              geofencer.PortAt({record.lat_deg, record.lng_deg});
+          if (port == sim::kNoPort || !IsStationary(record)) {
             // A call stays open across non-stop records until the merge
             // gap expires (a vessel shifting berth keeps its call).
             if (open.port != sim::kNoPort &&
-                record.timestamp - open.departure > config.merge_gap_s) {
+                record.timestamp - open.departure > kMergeGapSeconds) {
               close_call(&open);
             }
             continue;
           }
           if (open.port == port && open.mmsi == record.mmsi &&
-              record.timestamp - open.departure <= config.merge_gap_s) {
+              record.timestamp - open.departure <= kMergeGapSeconds) {
             open.departure = record.timestamp;
             ++open.records;
             continue;

@@ -27,23 +27,13 @@ struct PortCall {
   int64_t DurationSeconds() const { return departure - arrival; }
 };
 
-struct PortCallConfig {
-  // Stop condition shared with trip extraction.
-  TripConfig trip;
-  // Two stationary periods in the same port merge into one call when the
-  // gap between them is below this (reception gaps, brief shifts along
-  // the quay).
-  int64_t merge_gap_s = 12 * 3600;
-  // Calls shorter than this are discarded as geofence noise.
-  int64_t min_duration_s = 15 * 60;
-};
-
-// Reconstructs port calls. `records` must be vessel-partitioned and
-// time-sorted (CleanReports output). Calls are returned sorted by
-// (mmsi, arrival).
+// Reconstructs port calls: a call is a run of stationary in-fence
+// records (IsStationary, the trip extractor's stop rule) in one port;
+// runs at most 12 h apart merge, and calls shorter than 15 min are
+// dropped. `records` must be vessel-partitioned and time-sorted
+// (CleanReports output). Calls are returned sorted by (mmsi, arrival).
 std::vector<PortCall> ExtractPortCalls(
-    const flow::Dataset<PipelineRecord>& records, const Geofencer& geofencer,
-    const PortCallConfig& config = PortCallConfig());
+    const flow::Dataset<PipelineRecord>& records, const Geofencer& geofencer);
 
 }  // namespace pol::core
 

@@ -108,11 +108,4 @@ Result<std::shared_ptr<const InventorySnapshot>> OpenLatestSnapshot(
   return snapshot;
 }
 
-Result<std::shared_ptr<const InventorySnapshot>> OpenGenerationSnapshot(
-    const store::SnapshotStore& store, uint64_t generation) {
-  POL_ASSIGN_OR_RETURN(store::SnapshotStore::Opened opened,
-                       store.OpenGeneration(generation));
-  return SnapshotFromOpened(std::move(opened));
-}
-
 }  // namespace pol::core

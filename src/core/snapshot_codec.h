@@ -75,11 +75,8 @@ Result<SnapshotMeta> DecodeSnapshotMeta(const store::SnapshotFileView& view);
 Result<std::shared_ptr<const InventorySnapshot>> OpenLatestSnapshot(
     const store::SnapshotStore& store, uint64_t* generation = nullptr);
 
-// Same, for one specific generation (polinv tooling, tests).
-Result<std::shared_ptr<const InventorySnapshot>> OpenGenerationSnapshot(
-    const store::SnapshotStore& store, uint64_t generation);
-
-// Wraps an already-opened generation (InventorySnapshot::FromImage).
+// Wraps an already-opened generation (InventorySnapshot::FromImage);
+// with store::OpenSnapshotFile, opens one file as a serving snapshot.
 Result<std::shared_ptr<const InventorySnapshot>> SnapshotFromOpened(
     store::SnapshotStore::Opened opened);
 

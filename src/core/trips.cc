@@ -15,24 +15,21 @@ uint64_t MakeTripId(ais::Mmsi mmsi, UnixSeconds departure) {
   return id == 0 ? 1 : id;  // 0 is reserved for "no trip".
 }
 
-namespace {
-
-// True when the record shows the vessel actually stopped (as opposed to
-// transiting a port's approach area at sea speed).
-bool IsStationary(const PipelineRecord& record, double stop_speed_knots) {
+bool IsStationary(const PipelineRecord& record) {
   if (record.nav_status == ais::NavStatus::kMoored ||
       record.nav_status == ais::NavStatus::kAtAnchor ||
       record.nav_status == ais::NavStatus::kAground) {
     return true;
   }
-  return record.sog_knots < stop_speed_knots;
+  return record.sog_knots < kStopSpeedKnots;
 }
+
+namespace {
 
 // Scans one vessel's contiguous, time-sorted run [begin, end) and
 // appends annotated in-trip records to `out`.
 void AnnotateVessel(const std::vector<PipelineRecord>& part, size_t begin,
                     size_t end, const Geofencer& geofencer,
-                    const TripConfig& config,
                     std::vector<PipelineRecord>* out, uint64_t* trips) {
   // Segment the run into port visits and sea legs. A sea leg between two
   // port visits is a trip.
@@ -40,8 +37,7 @@ void AnnotateVessel(const std::vector<PipelineRecord>& part, size_t begin,
   size_t leg_start = end;                // First at-sea index of the leg.
   for (size_t i = begin; i < end; ++i) {
     sim::PortId port = geofencer.PortAt({part[i].lat_deg, part[i].lng_deg});
-    if (port != sim::kNoPort &&
-        !IsStationary(part[i], config.stop_speed_knots)) {
+    if (port != sim::kNoPort && !IsStationary(part[i])) {
       port = sim::kNoPort;  // Transit through a fence, not a call.
     }
     if (port == sim::kNoPort) {
@@ -74,17 +70,16 @@ void AnnotateVessel(const std::vector<PipelineRecord>& part, size_t begin,
 
 flow::Dataset<PipelineRecord> ExtractTrips(
     const flow::Dataset<PipelineRecord>& records, const Geofencer& geofencer,
-    TripStats* stats, const TripConfig& config) {
+    TripStats* stats) {
   std::atomic<uint64_t> trips{0};
   flow::Dataset<PipelineRecord> annotated = records.MapPartitions(
-      [&geofencer, &trips, &config](const std::vector<PipelineRecord>& part) {
+      [&geofencer, &trips](const std::vector<PipelineRecord>& part) {
         std::vector<PipelineRecord> out;
         uint64_t local_trips = 0;
         size_t run_start = 0;
         for (size_t i = 1; i <= part.size(); ++i) {
           if (i == part.size() || part[i].mmsi != part[run_start].mmsi) {
-            AnnotateVessel(part, run_start, i, geofencer, config, &out,
-                           &local_trips);
+            AnnotateVessel(part, run_start, i, geofencer, &out, &local_trips);
             run_start = i;
           }
         }

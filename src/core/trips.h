@@ -51,17 +51,21 @@ struct TripStats {
 // Stable trip identifier.
 uint64_t MakeTripId(ais::Mmsi mmsi, UnixSeconds departure);
 
-struct TripConfig {
-  // Fence records at or above this speed are transits, not stops.
-  double stop_speed_knots = 1.5;
-};
+// Records at or above this speed are under way, not stopped (unless
+// their navigational status says moored, at anchor or aground).
+inline constexpr double kStopSpeedKnots = 1.5;
+
+// True when the record shows the vessel actually stopped, as opposed to
+// transiting a port's approach area at sea speed. Trip extraction and
+// port-call reconstruction share this stop rule.
+bool IsStationary(const PipelineRecord& record);
 
 // Extracts trips. `records` must be vessel-partitioned and time-sorted
 // (the output of CleanReports). The result keeps only trip-annotated
 // records and preserves per-vessel ordering.
 flow::Dataset<PipelineRecord> ExtractTrips(
     const flow::Dataset<PipelineRecord>& records, const Geofencer& geofencer,
-    TripStats* stats, const TripConfig& config = TripConfig());
+    TripStats* stats);
 
 }  // namespace pol::core
 

@@ -25,7 +25,6 @@ namespace {
 
 constexpr char kGenPrefix[] = "snap-";
 constexpr char kGenSuffix[] = ".pol";
-constexpr std::string_view kManifestMagic = "POLSNAPMF1";
 
 // "snap-<digits>.pol" -> generation; 0 when the name does not match
 // (generations start at 1, so 0 doubles as the sentinel).
@@ -46,6 +45,32 @@ uint64_t ParseGeneration(const std::string& filename) {
   return generation;
 }
 
+// One listing of a store directory: its generations, ascending, and
+// the stray temp files that torn publishes left. A missing or
+// unreadable directory lists as empty.
+struct DirectoryListing {
+  std::vector<uint64_t> generations;
+  std::vector<std::filesystem::path> temps;
+};
+
+DirectoryListing ListDirectory(const std::string& directory) {
+  DirectoryListing listing;
+  std::error_code ec;
+  std::filesystem::directory_iterator it(directory, ec);
+  if (ec) return listing;
+  for (const auto& entry : it) {
+    const std::filesystem::path& path = entry.path();
+    const uint64_t generation = ParseGeneration(path.filename().string());
+    if (generation != 0) {
+      listing.generations.push_back(generation);
+    } else if (path.extension() == ".tmp") {
+      listing.temps.push_back(path);
+    }
+  }
+  std::sort(listing.generations.begin(), listing.generations.end());
+  return listing;
+}
+
 }  // namespace
 
 SnapshotStore::SnapshotStore(SnapshotStoreOptions options)
@@ -60,22 +85,8 @@ std::string SnapshotStore::GenerationPath(uint64_t generation) const {
   return (std::filesystem::path(options_.directory) / name).string();
 }
 
-std::string SnapshotStore::ManifestPath() const {
-  return (std::filesystem::path(options_.directory) / "MANIFEST").string();
-}
-
 std::vector<uint64_t> SnapshotStore::ListGenerations() const {
-  std::vector<uint64_t> generations;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(options_.directory, ec);
-  if (ec) return generations;
-  for (const auto& entry : it) {
-    const uint64_t generation =
-        ParseGeneration(entry.path().filename().string());
-    if (generation != 0) generations.push_back(generation);
-  }
-  std::sort(generations.begin(), generations.end());
-  return generations;
+  return ListDirectory(options_.directory).generations;
 }
 
 Result<uint64_t> SnapshotStore::Publish(std::string_view file_image) {
@@ -93,79 +104,47 @@ Result<uint64_t> SnapshotStore::Publish(std::string_view file_image) {
                                      view.status().message());
     }
   }
-  std::error_code ec;
-  std::filesystem::create_directories(options_.directory, ec);
-  if (ec) {
-    registry.counter(kMetricStorePublishFailures)->Increment();
-    return Status::IoError("cannot create store directory " +
-                           options_.directory + ": " + ec.message());
-  }
-  const std::vector<uint64_t> existing = ListGenerations();
+  // The one listing: the next generation number, the GC victims and
+  // the stray temps all come from it. WriteFileDurable creates (and
+  // syncs) a missing store directory.
+  const DirectoryListing listing = ListDirectory(options_.directory);
+  const std::vector<uint64_t>& existing = listing.generations;
   const uint64_t generation = existing.empty() ? 1 : existing.back() + 1;
   Status written = WriteFileDurable(GenerationPath(generation), file_image);
   if (!written.ok()) {
     registry.counter(kMetricStorePublishFailures)->Increment();
     return written;
   }
-  // The generation is durable from here on. A manifest failure leaves
-  // it on disk (OpenLatest scans the directory, so it is served after
-  // a restart) but reports the publish as failed so the caller's
-  // retry/breaker machinery engages; the retry publishes the next
-  // generation and re-sweeps.
-  Status manifest = POL_FAILPOINT(kFailPointStoreManifest);
-  if (manifest.ok()) {
-    std::string body(kManifestMagic);
-    body += "\ncurrent ";
-    body += std::to_string(generation);
-    body += "\n";
-    manifest = WriteFileDurable(ManifestPath(), body);
-  }
-  if (!manifest.ok()) {
-    registry.counter(kMetricStorePublishFailures)->Increment();
-    return manifest;
-  }
-  // GC: keep the newest `keep` generations, sweep older ones plus any
-  // stray temp files from torn publishes.
-  std::vector<uint64_t> generations = ListGenerations();
+  // The generation is durable and the publish has succeeded; GC is
+  // best effort. Keep the newest `keep` generations (the new one
+  // included) and sweep the temps of earlier torn publishes.
+  const size_t total = existing.size() + 1;
   const size_t keep = static_cast<size_t>(options_.keep);
+  const size_t stale = total > keep ? total - keep : 0;
   uint64_t removed = 0;
-  if (generations.size() > keep) {
-    for (size_t i = 0; i + keep < generations.size(); ++i) {
-      if (std::filesystem::remove(GenerationPath(generations[i]), ec)) {
-        ++removed;
-      }
-    }
+  std::error_code ec;
+  for (size_t i = 0; i < stale; ++i) {
+    if (std::filesystem::remove(GenerationPath(existing[i]), ec)) ++removed;
   }
-  std::filesystem::directory_iterator it(options_.directory, ec);
-  if (!ec) {
-    for (const auto& entry : it) {
-      if (entry.path().extension() == ".tmp") {
-        std::error_code remove_ec;
-        std::filesystem::remove(entry.path(), remove_ec);
-      }
-    }
+  for (const std::filesystem::path& temp : listing.temps) {
+    std::filesystem::remove(temp, ec);
   }
-  if (removed > 0) {
-    registry.counter(kMetricStoreGcRemoved)->Increment(removed);
-    generations = ListGenerations();
-  }
+  if (removed > 0) registry.counter(kMetricStoreGcRemoved)->Increment(removed);
   registry.counter(kMetricStorePublishes)->Increment();
   registry.counter(kMetricStorePublishBytes)
       ->Increment(static_cast<uint64_t>(file_image.size()));
   registry.histogram(kMetricStorePublishSeconds)
       ->Record(obs::NowSeconds() - started);
   registry.gauge(kMetricStoreGenerations)
-      ->Set(static_cast<int64_t>(generations.size()));
+      ->Set(static_cast<int64_t>(total - removed));
   registry.gauge(kMetricStoreLatestGeneration)
       ->Set(static_cast<int64_t>(generation));
   return generation;
 }
 
-Result<SnapshotStore::Opened> SnapshotStore::OpenPath(
-    const std::string& path, uint64_t generation) const {
+Result<SnapshotStore::Opened> OpenSnapshotFile(const std::string& path) {
   POL_RETURN_IF_ERROR(POL_FAILPOINT(kFailPointStoreOpen));
-  Opened opened;
-  opened.generation = generation;
+  SnapshotStore::Opened opened;
   POL_ASSIGN_OR_RETURN(opened.file, MappedFile::Open(path));
   POL_ASSIGN_OR_RETURN(opened.view,
                        SnapshotFileView::Validate(opened.file.bytes()));
@@ -184,10 +163,13 @@ Result<SnapshotStore::Opened> SnapshotStore::OpenLatest(
   std::string failures;
   for (size_t i = generations.size(); i-- > 0;) {
     const uint64_t generation = generations[i];
-    Result<Opened> opened = OpenPath(GenerationPath(generation), generation);
-    if (opened.ok() && accept) {
-      Status accepted = accept(&*opened);
-      if (!accepted.ok()) opened = std::move(accepted);
+    Result<Opened> opened = OpenSnapshotFile(GenerationPath(generation));
+    if (opened.ok()) {
+      opened->generation = generation;
+      if (accept) {
+        Status accepted = accept(&*opened);
+        if (!accepted.ok()) opened = std::move(accepted);
+      }
     }
     if (opened.ok()) {
       registry.counter(kMetricStoreOpens)->Increment();
@@ -205,45 +187,6 @@ Result<SnapshotStore::Opened> SnapshotStore::OpenLatest(
   registry.counter(kMetricStoreOpenFailures)->Increment();
   return Status::DataLoss("all " + std::to_string(generations.size()) +
                           " generations unreadable: " + failures);
-}
-
-Result<SnapshotStore::Opened> SnapshotStore::OpenGeneration(
-    uint64_t generation) const {
-  POL_TRACE_SPAN(kSpanStoreOpen);
-  obs::Registry& registry = obs::Registry::Global();
-  Result<Opened> opened =
-      OpenPath(GenerationPath(generation), generation);
-  if (opened.ok()) {
-    registry.counter(kMetricStoreOpens)->Increment();
-  } else {
-    registry.counter(kMetricStoreOpenFailures)->Increment();
-  }
-  return opened;
-}
-
-Result<uint64_t> SnapshotStore::ManifestCurrent() const {
-  std::string body;
-  POL_RETURN_IF_ERROR(ReadFileToString(ManifestPath(), &body));
-  std::string_view rest(body);
-  if (rest.substr(0, kManifestMagic.size()) != kManifestMagic) {
-    return Status::DataLoss("MANIFEST: bad magic");
-  }
-  rest.remove_prefix(kManifestMagic.size());
-  const std::string_view key = "\ncurrent ";
-  if (rest.substr(0, key.size()) != key) {
-    return Status::DataLoss("MANIFEST: missing current line");
-  }
-  rest.remove_prefix(key.size());
-  uint64_t generation = 0;
-  size_t digits = 0;
-  while (digits < rest.size() && rest[digits] >= '0' && rest[digits] <= '9') {
-    generation = generation * 10 + static_cast<uint64_t>(rest[digits] - '0');
-    ++digits;
-  }
-  if (digits == 0 || generation == 0) {
-    return Status::DataLoss("MANIFEST: bad generation number");
-  }
-  return generation;
 }
 
 }  // namespace pol::store

@@ -15,24 +15,22 @@
 // A generation-numbered directory of POLSNAP1 files — the durable home
 // of sealed inventories. Layout:
 //
-//   <dir>/MANIFEST          "POLSNAPMF1\ncurrent <gen>\n"  (advisory)
 //   <dir>/snap-00000001.pol generation 1
 //   <dir>/snap-00000002.pol generation 2 ...
 //
-// Publish is atomic (temp + fsync + rename + dir fsync, see
-// atomic_file.h) and monotone: a new generation never overwrites an
-// old one, so a reader that mapped generation N is untouched by the
-// publish of N+1. The *directory scan* is the source of truth for
-// which generations exist; the MANIFEST is advisory metadata for
-// humans and tooling (`polinv snapshots`), because trusting a file
-// that can itself be torn would reintroduce the problem the scan
-// solves. OpenLatest walks generations newest-first and falls back
-// past torn, truncated or CRC-failing files (counted in
-// `store.fallbacks`). Sealed inventories (core/snapshot_codec.h) and
-// pipeline checkpoints (core/checkpoint.h) are both stored this way,
-// each behind its own accept check.
+// The directory listing is the only record of which generations exist:
+// no side file names the current one, because a file that can itself
+// tear would reintroduce the problem the scan solves. Publish is atomic
+// (temp + fsync + rename + dir fsync, see atomic_file.h) and monotone:
+// a new generation never overwrites an old one, so a reader that
+// mapped generation N is untouched by the publish of N+1. OpenLatest
+// walks generations newest-first and falls back past torn, truncated
+// or CRC-failing files (counted in `store.fallbacks`); OpenSnapshotFile
+// is the one way to open a single file. Sealed inventories
+// (core/snapshot_codec.h) and pipeline checkpoints (core/checkpoint.h)
+// are both stored this way, each behind its own accept check.
 //
-// Thread safety: OpenLatest/OpenGeneration/ListGenerations are safe
+// Thread safety: OpenLatest/ListGenerations/OpenSnapshotFile are safe
 // to call concurrently. Publish is not self-synchronizing — callers
 // must serialize publishes (ServingInventory does so under its refresh
 // lock). Two processes publishing into one directory is unsupported.
@@ -62,11 +60,15 @@ class SnapshotStore {
 
   // Validates `file_image` (must be a well-formed POLSNAP1 file;
   // InvalidArgument otherwise — publishing garbage is a caller bug,
-  // not data loss), durably writes it as the next generation, rewrites
-  // the MANIFEST, GCs generations beyond `keep`, and returns the new
-  // generation number. On failure nothing visible changes except a
-  // possible stray .tmp, which open paths ignore and the next
-  // successful publish sweeps.
+  // not data loss), lists the directory once, durably writes the image
+  // as the next generation (creating the directory if missing), GCs
+  // generations beyond `keep` plus the stray .tmp files that listing
+  // found, and returns the new generation number. Nothing after the
+  // durable write can fail, so a failed publish made no durable
+  // generation: it leaves at most a stray .tmp, which open paths ignore
+  // and the next successful publish sweeps, or, when only the final
+  // directory fsync failed, a renamed file that may not survive a
+  // crash.
   Result<uint64_t> Publish(std::string_view file_image);
 
   // A payload-level check run on each generation whose container
@@ -84,26 +86,22 @@ class SnapshotStore {
   // every one is unreadable.
   Result<Opened> OpenLatest(const AcceptFn& accept = nullptr) const;
 
-  // Maps and validates one specific generation.
-  Result<Opened> OpenGeneration(uint64_t generation) const;
-
   // Generation numbers present on disk, ascending. Missing or
   // unreadable directory yields an empty list.
   std::vector<uint64_t> ListGenerations() const;
 
-  // Advisory MANIFEST "current" value; NotFound when absent, kDataLoss
-  // when unparseable.
-  Result<uint64_t> ManifestCurrent() const;
-
   std::string GenerationPath(uint64_t generation) const;
-  std::string ManifestPath() const;
   const SnapshotStoreOptions& options() const { return options_; }
 
  private:
-  Result<Opened> OpenPath(const std::string& path, uint64_t generation) const;
-
   SnapshotStoreOptions options_;
 };
+
+// Maps and validates one POLSNAP1 file (a generation, or any file in
+// that container), firing the "store.open" fail point first. The
+// result's `generation` is 0; OpenLatest sets it. Counts no store.*
+// metric: the open counters belong to OpenLatest's walk.
+Result<SnapshotStore::Opened> OpenSnapshotFile(const std::string& path);
 
 }  // namespace pol::store
 

@@ -50,12 +50,10 @@ inline constexpr std::string_view kSpanStoreOpen = "store.open";
 // --- Fail points (see common/failpoint.h; faults preset only). ---
 // "store.write" fires before the temp-file write, "store.rename"
 // between write and the atomic rename (the torn-publish window),
-// "store.manifest" before the MANIFEST rewrite, "store.open" on each
-// generation open attempt (a fired open makes that generation
-// unreadable, so fallback is exercised).
+// "store.open" on each OpenSnapshotFile call (a fired open makes that
+// generation unreadable, so fallback is exercised).
 inline constexpr std::string_view kFailPointStoreWrite = "store.write";
 inline constexpr std::string_view kFailPointStoreRename = "store.rename";
-inline constexpr std::string_view kFailPointStoreManifest = "store.manifest";
 inline constexpr std::string_view kFailPointStoreOpen = "store.open";
 
 }  // namespace pol::store

@@ -1,14 +1,23 @@
 #include "usecases/congestion.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "common/mutex.h"
+#include "core/trips.h"
 #include "geo/geodesic.h"
 
 namespace pol::uc {
 namespace {
+
+// The anchorage-wait rule (see AnalyzePortActivity). Unlike the stop
+// rule of trips and port calls, moored or aground does not count as
+// waiting: only the speed and an at-anchor status do.
+constexpr double kAnchorageReachKm = 40.0;
+constexpr int64_t kMinWaitSeconds = 2 * 3600;
+constexpr int64_t kWaitToCallGapSeconds = 24 * 3600;
 
 struct Wait {
   ais::Mmsi mmsi;
@@ -28,7 +37,7 @@ double Percentile(std::vector<double> values, double q) {
 std::vector<PortActivity> AnalyzePortActivity(
     const std::vector<core::PortCall>& calls,
     const flow::Dataset<core::PipelineRecord>& records,
-    const sim::PortDatabase& ports, const CongestionConfig& config) {
+    const sim::PortDatabase& ports) {
   // Detect anchorage waits: stationary runs near (but not in) a port.
   Mutex mutex;
   std::vector<Wait> waits;
@@ -36,9 +45,9 @@ std::vector<PortActivity> AnalyzePortActivity(
       static_cast<size_t>(records.num_partitions()), [&](size_t p) {
         std::vector<Wait> local;
         Wait open{0, sim::kNoPort, 0, 0};
-        auto close = [&local, &config](Wait* w) {
+        auto close = [&local](Wait* w) {
           if (w->port != sim::kNoPort &&
-              w->end - w->start >= config.min_wait_s) {
+              w->end - w->start >= kMinWaitSeconds) {
             local.push_back(*w);
           }
           w->port = sim::kNoPort;
@@ -49,7 +58,7 @@ std::vector<PortActivity> AnalyzePortActivity(
             close(&open);
           }
           const bool stationary =
-              record.sog_knots < config.stop_speed_knots ||
+              record.sog_knots < core::kStopSpeedKnots ||
               record.nav_status == ais::NavStatus::kAtAnchor;
           sim::PortId near_port = sim::kNoPort;
           if (stationary) {
@@ -60,7 +69,7 @@ std::vector<PortActivity> AnalyzePortActivity(
                   {record.lat_deg, record.lng_deg}, nearest->position);
               // Outside the fence but within anchorage reach.
               if (km > nearest->geofence_radius_km &&
-                  km <= config.anchorage_reach_km) {
+                  km <= kAnchorageReachKm) {
                 near_port = nearest->id;
               }
             }
@@ -88,7 +97,7 @@ std::vector<PortActivity> AnalyzePortActivity(
     for (const core::PortCall& call : calls) {
       if (call.mmsi != wait.mmsi || call.port != wait.port) continue;
       if (call.arrival >= wait.end &&
-          call.arrival - wait.end <= config.link_gap_s) {
+          call.arrival - wait.end <= kWaitToCallGapSeconds) {
         wait_hours[wait.port].push_back(
             static_cast<double>(wait.end - wait.start) / 3600.0);
         break;

@@ -24,25 +24,18 @@ struct PortActivity {
   double mean_wait_hours = 0.0;
 };
 
-struct CongestionConfig {
-  // An anchorage wait is a stationary period within this distance of
-  // the port, outside its fence, that ends with a berth call there.
-  double anchorage_reach_km = 40.0;
-  double stop_speed_knots = 1.5;
-  int64_t min_wait_s = 2 * 3600;
-  // A wait and the following call belong together when the gap is small.
-  int64_t link_gap_s = 24 * 3600;
-};
-
 // Aggregates port activity from the call table and (for waits) the
-// cleaned record stream. `records` must be vessel-partitioned and
-// time-sorted; `calls` sorted by (mmsi, arrival) as ExtractPortCalls
-// returns them. Results are sorted by call count, busiest first.
+// cleaned record stream. An anchorage wait is a stationary period
+// (below core::kStopSpeedKnots or at anchor) of at least two hours,
+// outside the port's fence but within 40 km of it, that a berth call of
+// the same vessel in that port follows within 24 hours. `records` must
+// be vessel-partitioned and time-sorted; `calls` sorted by (mmsi,
+// arrival) as ExtractPortCalls returns them. Results are sorted by call
+// count, busiest first.
 std::vector<PortActivity> AnalyzePortActivity(
     const std::vector<core::PortCall>& calls,
     const flow::Dataset<core::PipelineRecord>& records,
-    const sim::PortDatabase& ports,
-    const CongestionConfig& config = CongestionConfig());
+    const sim::PortDatabase& ports);
 
 }  // namespace pol::uc
 

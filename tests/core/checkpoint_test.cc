@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -28,6 +29,7 @@
 #include "core/snapshot_codec.h"
 #include "flow/dataset.h"
 #include "flow/stage.h"
+#include "flow/stage_runner.h"
 #include "flow/threadpool.h"
 #include "hexgrid/hexgrid.h"
 #include "obs/metrics.h"
@@ -74,13 +76,12 @@ CheckpointState SampleState() {
   CheckpointState state;
   state.cursor = 7;
   state.total_chunks = 12;
-  CheckpointQuarantineEntry entry;
-  entry.chunk_index = 0;
-  entry.records = 41;
-  entry.attempts = 2;
-  entry.code = StatusCode::kCorruption;
-  entry.message = "cleaning: poisoned chunk";
-  state.quarantined.push_back(entry);
+  flow::ChunkFailure failure;
+  failure.chunk_index = 0;
+  failure.records = 41;
+  failure.attempts = 2;
+  failure.status = Status::Corruption("cleaning: poisoned chunk");
+  state.quarantined.push_back(failure);
   state.cleaning = {.input = 500,
                     .invalid_fields = 3,
                     .duplicates = 4,
@@ -103,8 +104,9 @@ void ExpectStatesEqual(const LoadedCheckpoint& a, const CheckpointState& b) {
     EXPECT_EQ(a.quarantined[i].chunk_index, b.quarantined[i].chunk_index);
     EXPECT_EQ(a.quarantined[i].records, b.quarantined[i].records);
     EXPECT_EQ(a.quarantined[i].attempts, b.quarantined[i].attempts);
-    EXPECT_EQ(a.quarantined[i].code, b.quarantined[i].code);
-    EXPECT_EQ(a.quarantined[i].message, b.quarantined[i].message);
+    EXPECT_EQ(a.quarantined[i].status.code(), b.quarantined[i].status.code());
+    EXPECT_EQ(a.quarantined[i].status.message(),
+              b.quarantined[i].status.message());
   }
   EXPECT_EQ(a.cleaning, b.cleaning);
   EXPECT_EQ(a.enrichment, b.enrichment);
@@ -256,8 +258,12 @@ struct MetaFields {
   uint64_t version = kCheckpointVersion;
   uint64_t cursor = 4;
   uint64_t total_chunks = 8;
-  // {chunk_index, status code} per ledger entry.
-  std::vector<std::pair<uint64_t, uint64_t>> ledger = {{1, 5}};
+  struct LedgerEntry {
+    uint64_t chunk_index = 0;
+    uint64_t code = 0;
+    uint64_t attempts = 1;
+  };
+  std::vector<LedgerEntry> ledger = {{1, 5}};
   // Cleaning (5), enrichment (4) and trip (4) stats, in field order.
   std::vector<uint64_t> stats = {90, 1, 2, 3, 84, 84, 4, 20,
                                  60, 60, 2, 55, 5};
@@ -279,11 +285,11 @@ struct MetaFields {
     PutVarint64(&out, cursor);
     PutVarint64(&out, total_chunks);
     PutVarint64(&out, ledger.size());
-    for (const auto& [chunk_index, code] : ledger) {
-      PutVarint64(&out, chunk_index);
+    for (const LedgerEntry& entry : ledger) {
+      PutVarint64(&out, entry.chunk_index);
       PutVarint64(&out, /*records=*/10);
-      PutVarint64(&out, /*attempts=*/1);
-      PutVarint64(&out, code);
+      PutVarint64(&out, entry.attempts);
+      PutVarint64(&out, entry.code);
       PutLengthPrefixed(&out, "quarantined");
     }
     for (const uint64_t field : stats) PutVarint64(&out, field);
@@ -322,7 +328,8 @@ TEST_F(CheckpointTest, HandBuiltImageLoads) {
   EXPECT_EQ(loaded->total_chunks, 8u);
   ASSERT_EQ(loaded->quarantined.size(), 1u);
   EXPECT_EQ(loaded->quarantined[0].chunk_index, 1u);
-  EXPECT_EQ(loaded->quarantined[0].code, StatusCode::kCorruption);
+  EXPECT_EQ(loaded->quarantined[0].attempts, 1);
+  EXPECT_EQ(loaded->quarantined[0].status.code(), StatusCode::kCorruption);
   EXPECT_EQ(loaded->cleaning, (CleaningStats{90, 1, 2, 3, 84}));
   EXPECT_EQ(loaded->enrichment, (EnrichmentStats{84, 4, 20, 60}));
   EXPECT_EQ(loaded->trips, (TripStats{60, 2, 55, 5}));
@@ -358,6 +365,19 @@ TEST_F(CheckpointTest, InconsistentMetaIsDataLossAndFallsBack) {
   {
     Case c{"quarantined chunk indices not increasing", {}};
     c.meta.ledger = {{2, 5}, {2, 5}};
+    cases.push_back(c);
+  }
+  {
+    Case c{"bad attempts 0", {}};
+    c.meta.ledger = {{1, 5, 0}};
+    cases.push_back(c);
+  }
+  {
+    // One past INT_MAX: ChunkFailure::attempts is an int.
+    const uint64_t past_int =
+        static_cast<uint64_t>(std::numeric_limits<int>::max()) + 1;
+    Case c{"bad attempts " + std::to_string(past_int), {}};
+    c.meta.ledger = {{1, 5, past_int}};
     cases.push_back(c);
   }
   {

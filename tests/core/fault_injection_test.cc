@@ -293,47 +293,13 @@ TEST_F(FaultInjectionTest, KilledAndResumedRunSurvivesDurableWriteFault) {
   if (!kFailPointsEnabled) {
     GTEST_SKIP() << "fail points compiled out; use the faults preset";
   }
-  // Checkpoints publish through the store's durable writer, and each
-  // Publish writes twice: the generation, then the MANIFEST. Hits 0 and
-  // 1 are the cursor-2 pair, so hit 2 fails the cursor-4 generation and
-  // the cursor-2 one resumes.
-  FailPointSpec spec;
-  spec.fire_from = 2;
-  spec.code = StatusCode::kIoError;
-  KillAndResume(directory_, "store.write", spec);
-}
-
-TEST_F(FaultInjectionTest, ManifestFaultAfterDurableGenerationResumesFromIt) {
-  if (!kFailPointsEnabled) {
-    GTEST_SKIP() << "fail points compiled out; use the faults preset";
-  }
-  // Hit 0 is the cursor-2 publish's MANIFEST rewrite; hit 1 lands after
-  // the cursor-4 generation is durable and before its MANIFEST rewrite.
-  // The killed run fails, but the generation it wrote is on disk and is
-  // the one the restart resumes from.
+  // Checkpoints publish through the store's durable writer, one write
+  // per Publish. Hit 0 is the cursor-2 generation, so hit 1 fails the
+  // cursor-4 generation and the cursor-2 one resumes.
   FailPointSpec spec;
   spec.fire_from = 1;
   spec.code = StatusCode::kIoError;
-  PipelineConfig killed_config = BaseConfig(directory_);
-  killed_config.fail_fast = true;
-  FailPointRegistry::Global().Arm("store.manifest", spec);
-  const PipelineResult killed = Run(killed_config);
-  FailPointRegistry::Global().Reset();
-  ASSERT_FALSE(killed.status.ok()) << "fail point never fired";
-
-  const CheckpointManager survivors(killed_config.checkpoint);
-  EXPECT_EQ(survivors.ListSnapshots().size(), 2u);
-  const Result<LoadedCheckpoint> survivor = survivors.LoadLatest();
-  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
-  EXPECT_EQ(survivor->cursor, 4u);
-
-  const PipelineResult resumed = Run(BaseConfig(directory_));
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-  EXPECT_TRUE(resumed.coverage.resumed);
-  EXPECT_EQ(resumed.coverage.resume_cursor, 4u);
-  EXPECT_EQ(resumed.coverage.chunks_folded, static_cast<size_t>(kChunks));
-  EXPECT_EQ(InventoryBytes(resumed), ReferenceBytes());
-  ExpectReferenceStats(resumed);
+  KillAndResume(directory_, "store.write", spec);
 }
 
 TEST_F(FaultInjectionTest, ReadFaultFallsBackAcrossSnapshots) {

@@ -39,7 +39,7 @@ Inventory SmallInventory() {
   SummaryMap summaries;
   auto add = [&summaries](const GroupKey& key, const PipelineRecord& r,
                           int times) {
-    auto [it, inserted] = summaries.try_emplace(key, SummaryParams());
+    auto [it, inserted] = summaries.try_emplace(key);
     (void)inserted;
     for (int i = 0; i < times; ++i) it->second.Add(r);
   };

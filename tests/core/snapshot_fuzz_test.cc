@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,14 @@ Inventory SmallInventory() {
   return Inventory(6, std::move(summaries));
 }
 
+// The full open path on one file: store::OpenSnapshotFile validates the
+// container, then the payload opens as a serving snapshot.
+Status OpenFile(const std::string& path) {
+  Result<store::SnapshotStore::Opened> opened = store::OpenSnapshotFile(path);
+  if (!opened.ok()) return opened.status();
+  return SnapshotFromOpened(std::move(*opened)).status();
+}
+
 class SnapshotFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -93,7 +102,7 @@ class SnapshotFuzzTest : public ::testing::Test {
       std::ofstream file(path, std::ios::binary | std::ios::trunc);
       file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    return OpenGenerationSnapshot(store, 1).status();
+    return OpenFile(path);
   }
 
   std::string directory_;
@@ -244,7 +253,7 @@ class SnapshotHostileTest : public SnapshotFuzzTest {
     const Result<uint64_t> generation = store.Publish(payloads.Finish());
     EXPECT_TRUE(generation.ok()) << generation.status().ToString();
     if (!generation.ok()) return generation.status();
-    return OpenGenerationSnapshot(store, *generation).status();
+    return OpenFile(store.GenerationPath(*generation));
   }
 };
 

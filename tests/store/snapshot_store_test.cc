@@ -1,12 +1,13 @@
-// SnapshotStore: atomic generation publish, MANIFEST, retention GC,
-// corrupt-generation fallback on open, torn-temp hygiene, and the
-// store.* fail points of the faults preset.
+// SnapshotStore: atomic generation publish as one durable write,
+// retention GC, corrupt-generation fallback on open, torn-temp hygiene,
+// OpenSnapshotFile, and the store.* fail points of the faults preset.
 
 #include "store/snapshot_store.h"
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -82,10 +83,25 @@ TEST_F(SnapshotStoreTest, PublishAndOpenRoundTrip) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened->generation, 1u);
   EXPECT_EQ(SectionString(*opened, 0x01), "gen one");
+}
 
-  const Result<uint64_t> manifest = store.ManifestCurrent();
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_EQ(*manifest, 1u);
+TEST_F(SnapshotStoreTest, PublishIsOneDurableWrite) {
+  if (!kFailPointsEnabled) {
+    GTEST_SKIP() << "fail points compiled out (build with POL_FAILPOINTS)";
+  }
+  // The directory listing is the store's only record, so a publish
+  // writes the generation file and nothing else.
+  SnapshotStore store = Store();
+  for (int i = 1; i <= 3; ++i) {
+    const uint64_t writes_before =
+        FailPointRegistry::Global().HitCount(kFailPointStoreWrite);
+    ASSERT_TRUE(store.Publish(MakeImage("gen " + std::to_string(i))).ok());
+    EXPECT_EQ(FailPointRegistry::Global().HitCount(kFailPointStoreWrite),
+              writes_before + 1);
+  }
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(directory_),
+                          std::filesystem::directory_iterator()),
+            3);
 }
 
 TEST_F(SnapshotStoreTest, GenerationsAreMonotone) {
@@ -97,7 +113,8 @@ TEST_F(SnapshotStoreTest, GenerationsAreMonotone) {
     EXPECT_EQ(*generation, expected);
   }
   EXPECT_EQ(store.ListGenerations(), (std::vector<uint64_t>{1, 2, 3}));
-  const Result<SnapshotStore::Opened> opened = store.OpenGeneration(2);
+  const Result<SnapshotStore::Opened> opened =
+      OpenSnapshotFile(store.GenerationPath(2));
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(SectionString(*opened, 0x01), "gen 2");
 }
@@ -183,24 +200,6 @@ TEST_F(SnapshotStoreTest, StrayTempFilesAreIgnoredAndSwept) {
   EXPECT_FALSE(std::filesystem::exists(stray));
 }
 
-TEST_F(SnapshotStoreTest, ManifestMissingIsNotFound) {
-  SnapshotStore store = Store();
-  EXPECT_EQ(store.ManifestCurrent().status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(SnapshotStoreTest, ManifestGarbageIsDataLoss) {
-  SnapshotStore store = Store();
-  ASSERT_TRUE(store.Publish(MakeImage("gen 1")).ok());
-  {
-    std::ofstream file(store.ManifestPath(),
-                       std::ios::binary | std::ios::trunc);
-    file << "POLSNAPMF1\ncurrent zero\n";
-  }
-  EXPECT_EQ(store.ManifestCurrent().status().code(), StatusCode::kDataLoss);
-  // The MANIFEST is advisory: a shredded one never blocks serving.
-  EXPECT_TRUE(store.OpenLatest().ok());
-}
-
 TEST_F(SnapshotStoreTest, WriteFailPointFailsPublishCleanly) {
   if (!kFailPointsEnabled) {
     GTEST_SKIP() << "fail points compiled out (build with POL_FAILPOINTS)";
@@ -242,28 +241,6 @@ TEST_F(SnapshotStoreTest, RenameFailPointLeavesTornTempOnly) {
   ASSERT_TRUE(retried.ok());
   EXPECT_EQ(*retried, 2u);
   EXPECT_FALSE(std::filesystem::exists(store.GenerationPath(2) + ".tmp"));
-}
-
-TEST_F(SnapshotStoreTest, ManifestFailPointKeepsDurableGeneration) {
-  if (!kFailPointsEnabled) {
-    GTEST_SKIP() << "fail points compiled out (build with POL_FAILPOINTS)";
-  }
-  SnapshotStore store = Store();
-  ASSERT_TRUE(store.Publish(MakeImage("gen 1")).ok());
-  FailPointSpec spec;
-  spec.code = StatusCode::kIoError;
-  FailPointRegistry::Global().Arm(kFailPointStoreManifest, spec);
-  EXPECT_FALSE(store.Publish(MakeImage("gen 2")).ok());
-  FailPointRegistry::Global().Disarm(kFailPointStoreManifest);
-  // The generation file was already durable, so a restart serves it —
-  // the failed publish only means the caller will retry into gen 3.
-  EXPECT_EQ(store.ListGenerations(), (std::vector<uint64_t>{1, 2}));
-  const Result<SnapshotStore::Opened> opened = store.OpenLatest();
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened->generation, 2u);
-  const Result<uint64_t> manifest = store.ManifestCurrent();
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(*manifest, 1u);  // Advisory value lags; the scan wins.
 }
 
 TEST_F(SnapshotStoreTest, OpenFailPointExercisesFallback) {

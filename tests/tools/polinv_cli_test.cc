@@ -1,7 +1,8 @@
 // polinv's inventory commands, run as the binary an operator runs: over
 // a snapshot-store directory (the newest readable generation, falling
 // back past a corrupt newer one), over one snapshot file, and over a
-// path that holds no snapshot (exit code 2).
+// path that holds no snapshot (exit code 2); and `polinv snapshots`
+// over a store whose newest generation is damaged.
 
 #include <sys/wait.h>
 
@@ -107,6 +108,55 @@ TEST_F(PolinvCliTest, StoreDirectoryFallsBackPastACorruptNewestGeneration) {
   EXPECT_EQ(query.exit_code, 0) << query.output;
   EXPECT_NE(query.output.find("records:            5\n"), std::string::npos)
       << query.output;
+}
+
+// The line of `output` that starts with `prefix`; empty when none does.
+std::string LineStarting(const std::string& output, const std::string& prefix) {
+  size_t begin = 0;
+  while (begin < output.size()) {
+    const size_t end = output.find('\n', begin);
+    const std::string line = output.substr(
+        begin, end == std::string::npos ? std::string::npos : end - begin);
+    if (line.rfind(prefix, 0) == 0) return line;
+    if (end == std::string::npos) break;
+    begin = end + 1;
+  }
+  return std::string();
+}
+
+TEST_F(PolinvCliTest, SnapshotsListsADamagedNewestGeneration) {
+  const std::string dir = (root_ / "store").string();
+  store::SnapshotStore store(store::SnapshotStoreOptions{dir, 3});
+  uint64_t older = 0;
+  uint64_t newest = 0;
+  ASSERT_TRUE(OneCell(5).Seal()->WriteTo(&store, &older).ok());
+  ASSERT_TRUE(OneCell(9).Seal()->WriteTo(&store, &newest).ok());
+  ASSERT_EQ(older, 1u);
+  ASSERT_EQ(newest, 2u);
+  {
+    std::fstream file(store.GenerationPath(newest),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(200);
+    file.put('\x5a');
+  }
+
+  const Ran snapshots = Polinv("snapshots " + dir);
+  EXPECT_EQ(snapshots.exit_code, 0) << snapshots.output;
+  EXPECT_NE(snapshots.output.find("2 generation(s)"), std::string::npos)
+      << snapshots.output;
+  EXPECT_NE(snapshots.output.find("cold start serves: 1\n"),
+            std::string::npos)
+      << snapshots.output;
+  const std::string gen1 = LineStarting(snapshots.output, "gen 1:");
+  const std::string gen2 = LineStarting(snapshots.output, "gen 2:");
+  EXPECT_NE(gen1.find(", ok, "), std::string::npos) << snapshots.output;
+  EXPECT_NE(gen1.find("[cold-start pick]"), std::string::npos)
+      << snapshots.output;
+  EXPECT_NE(gen2.find("DataLoss"), std::string::npos) << snapshots.output;
+  EXPECT_EQ(gen2.find("[cold-start pick]"), std::string::npos)
+      << snapshots.output;
+  EXPECT_EQ(snapshots.output.find("MANIFEST"), std::string::npos)
+      << snapshots.output;
 }
 
 TEST_F(PolinvCliTest, SingleGenerationFileIsServed) {

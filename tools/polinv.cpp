@@ -47,7 +47,6 @@
 #include "obs/openmetrics.h"
 #include "sim/ports.h"
 #include "store/atomic_file.h"
-#include "store/mapped_file.h"
 #include "store/snapshot_format.h"
 #include "store/snapshot_store.h"
 
@@ -83,10 +82,8 @@ Result<std::shared_ptr<const core::InventorySnapshot>> Open(
     return snapshot;
   }
   *source = path;
-  store::SnapshotStore::Opened opened;
-  POL_ASSIGN_OR_RETURN(opened.file, store::MappedFile::Open(path));
-  POL_ASSIGN_OR_RETURN(opened.view,
-                       store::SnapshotFileView::Validate(opened.file.bytes()));
+  POL_ASSIGN_OR_RETURN(store::SnapshotStore::Opened opened,
+                       store::OpenSnapshotFile(path));
   return core::SnapshotFromOpened(std::move(opened));
 }
 
@@ -449,24 +446,15 @@ int CmdWatch(int argc, char** argv) {
 
 // --- polinv snapshots -------------------------------------------------------
 // Lists a snapshot-store directory (store::SnapshotStore): one line per
-// generation with its size, validation status and seal-time stats, the
-// advisory MANIFEST value, and — the line operators actually want —
-// which generation a cold start (OpenLatest with corrupt-generation
-// fallback) would serve.
+// generation with its size, validation status and seal-time stats, and
+// — the line operators actually want — which generation a cold start
+// (OpenLatest with corrupt-generation fallback) would serve.
 int CmdSnapshots(const char* dir) {
   const store::SnapshotStore snapshot_store(
       store::SnapshotStoreOptions{dir, /*keep=*/3});
   const std::vector<uint64_t> generations = snapshot_store.ListGenerations();
   std::printf("snapshot store %s: %llu generation(s)\n", dir,
               static_cast<unsigned long long>(generations.size()));
-  const auto manifest = snapshot_store.ManifestCurrent();
-  if (manifest.ok()) {
-    std::printf("MANIFEST current:  %llu (advisory)\n",
-                static_cast<unsigned long long>(*manifest));
-  } else {
-    std::printf("MANIFEST:          %s\n",
-                manifest.status().ToString().c_str());
-  }
   if (generations.empty()) return 2;
   uint64_t pick = 0;
   const auto latest = core::OpenLatestSnapshot(snapshot_store, &pick);
@@ -484,7 +472,7 @@ int CmdSnapshots(const char* dir) {
     std::printf("gen %llu: %llu bytes",
                 static_cast<unsigned long long>(generation),
                 static_cast<unsigned long long>(ec ? 0 : bytes));
-    const auto opened = snapshot_store.OpenGeneration(generation);
+    const auto opened = store::OpenSnapshotFile(path);
     if (!opened.ok()) {
       std::printf(", %s\n", opened.status().ToString().c_str());
       continue;
